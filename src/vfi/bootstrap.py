@@ -8,7 +8,7 @@ or worker count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class BootstrapRun:
     replicates: np.ndarray
     critical_value: float
     config: BootstrapConfig
-    stream_ids: tuple = field(default=())
 
     @property
     def R(self) -> int:
@@ -128,5 +127,4 @@ def bootstrap_statistic_distribution(problem, config: BootstrapConfig) -> Bootst
         replicates=reps,
         critical_value=critical_value(reps, config.alpha),
         config=config,
-        stream_ids=tuple(range(len(sizes))),
     )

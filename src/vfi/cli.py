@@ -21,7 +21,7 @@ import numpy as np
 from .bootstrap import BootstrapConfig
 from .derivative import Tuning
 from .empirical import CsvParseError, load_sample_csv
-from .inference import Band, TestResult, cdf_band, dominance_test, uniform_band
+from .inference import Band, cdf_band, dominance_test, uniform_band
 from .makarov import bounds_to_csv, compute_bounds, quantile_bounds
 from .empirical import ecdf_build
 from .simulate import ExperimentConfig, run_normal_location, run_uniform_dominance
@@ -37,6 +37,15 @@ def _env(name: str, cast, fallback):
         return cast(raw)
     except ValueError:
         raise SystemExit(f"invalid value for VFI_{name}: {raw!r}")
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    """argparse type for comma-separated numbers; a bad list is a usage error."""
+    try:
+        return tuple(float(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _fmt(x: float) -> str:
@@ -110,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantile-bounds", help="bounds on effect quantiles")
     _two_sample_args(p)
-    p.add_argument("--taus", default="0.1,0.25,0.5,0.75,0.9",
+    p.add_argument("--taus", type=_float_list, default="0.1,0.25,0.5,0.75,0.9",
                    help="comma-separated levels in (0,1)")
     _add_common(p, with_bootstrap=False)
 
@@ -118,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("experiment", choices=("normal", "dominance"))
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--reps", type=int, default=300)
-    p.add_argument("--deltas", default="-5,-2.5,0,2.5,5")
+    p.add_argument("--deltas", type=_float_list, default="-5,-2.5,0,2.5,5")
     _add_common(p, with_bootstrap=True)
     return ap
 
@@ -232,7 +241,7 @@ def _cmd_dominance(args) -> int:
 
 def _cmd_quantile_bounds(args) -> int:
     X1, X0 = _load_pair(args)
-    taus = np.array([float(t) for t in args.taus.split(",")])
+    taus = np.array(args.taus)
     lo, hi = quantile_bounds(ecdf_build(X1), ecdf_build(X0), taus)
     lines = ["tau,lower,upper"]
     lines += [f"{_fmt(t)},{_fmt(a)},{_fmt(b)}" for t, a, b in zip(taus, lo, hi)]
@@ -244,7 +253,7 @@ def _cmd_simulate(args) -> int:
     kind = "normal_location" if args.experiment == "normal" else "uniform_dominance"
     config = ExperimentConfig(
         kind=kind, n=args.n, R=args.R, reps=args.reps,
-        deltas=tuple(float(d) for d in args.deltas.split(",")),
+        deltas=args.deltas,
         alpha=args.alpha, seed=args.seed, grid_step=args.grid_step,
         scheme=args.scheme, threads=args.threads,
     )

@@ -9,7 +9,7 @@ function is within b_n of zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,9 +60,13 @@ class ArgmaxSets:
     """Estimated argmax structure of an objective, as boolean masks.
 
     per_x[k, c]: candidate c is within a_n of the row maximum at grid k.
-    joint[k, c]: within a_n of the global maximum.
+    joint[k, c]: within a_n of the global maximum; a subset of per_x.
     contact[k]: |value function| <= b_n, with an all-True fallback when the
     threshold captures nothing.
+
+    The per-x cells are also kept as a list: ``cells`` holds their
+    row-major flat indices and ``starts[k]`` the position of row k's first
+    cell in it.  The derivative estimators read a direction only there.
     """
 
     grid: Grid
@@ -70,14 +74,21 @@ class ArgmaxSets:
     joint: np.ndarray
     contact: np.ndarray
     contact_fallback: bool = False
+    cells: np.ndarray = field(init=False, repr=False, compare=False)
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.per_x.any(axis=1).all():
+        counts = self.per_x.sum(axis=1)
+        if not counts.all():
             raise ValueError("per-x argmax sets must be nonempty")
         if not self.joint.any():
             raise ValueError("joint argmax set must be nonempty")
+        if np.any(self.joint & ~self.per_x):
+            raise ValueError("joint argmax set must lie inside the per-x sets")
         if not self.contact.any():
             raise ValueError("contact set must be nonempty after fallback")
+        object.__setattr__(self, "cells", np.flatnonzero(self.per_x))
+        object.__setattr__(self, "starts", np.concatenate(([0], np.cumsum(counts)[:-1])))
 
 
 def eps_argmax(f: GriddedObjective, tuning: Tuning) -> ArgmaxSets:
@@ -94,27 +105,32 @@ def eps_argmax(f: GriddedObjective, tuning: Tuning) -> ArgmaxSets:
     )
 
 
-def _direction_values(h, sets: ArgmaxSets) -> np.ndarray:
+def _cell_values(h, sets: ArgmaxSets) -> np.ndarray:
+    """h on the per-x cells, from h on every candidate (the objective's
+    shape) or from h already restricted to ``sets.cells``."""
     hv = h.values if isinstance(h, GriddedObjective) else np.asarray(h, dtype=float)
-    if hv.shape != sets.per_x.shape:
-        raise ValueError("direction does not share the objective's candidate structure")
-    return hv
+    if hv.shape == sets.per_x.shape:
+        return hv.ravel()[sets.cells]
+    if hv.shape == sets.cells.shape:
+        return hv
+    raise ValueError("direction does not share the objective's candidate structure")
 
 
-def _row_sup(hv: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return np.where(mask, hv, -np.inf).max(axis=1)
+def _row_sup(hv: np.ndarray, sets: ArgmaxSets) -> np.ndarray:
+    return np.maximum.reduceat(hv, sets.starts)
 
 
 def derivative_estimate(kind: StatKind, sets: ArgmaxSets, h) -> float:
     """Directional-derivative value of lambda_j at the objective, in
-    direction h, using the estimated argmax sets."""
-    hv = _direction_values(h, sets)
-    row = _row_sup(hv, sets.per_x)
+    direction h, using the estimated argmax sets.  h is given on every
+    candidate or only on ``sets.cells``."""
+    hv = _cell_values(h, sets)
+    row = _row_sup(hv, sets)
     if kind.j == 1:
         # second branch: sup_x inf over the per-x set of (-h)
         return float(max(row.max(), -row.min()))
     if kind.j == 2:
-        return float(max(np.where(sets.joint, hv, -np.inf).max(), 0.0))
+        return float(max(hv[sets.joint.ravel()[sets.cells]].max(), 0.0))
     w = sets.grid.rect_weights()
     if kind.j == 3:
         return float(np.sum(np.abs(row) ** kind.p * w) ** (1.0 / kind.p))
@@ -134,7 +150,8 @@ def dominance_derivative_estimate(
 
     hA is the direction on the lower-bound objective of the A-vs-control
     pair; hB the direction on the (negated) upper-bound objective of the
-    B-vs-control pair.  ``contact`` restricts integration to the estimated
+    B-vs-control pair; each is given on every candidate or only on its
+    sets' ``cells``.  ``contact`` restricts integration to the estimated
     region where the population gap is zero.  ``sign`` flips the integrand
     for the reversed orientation of the test.
     """
@@ -143,8 +160,8 @@ def dominance_derivative_estimate(
     contact = np.asarray(contact, dtype=bool)
     if not contact.any():
         contact = np.ones(len(setsA.grid), dtype=bool)
-    rowA = _row_sup(_direction_values(hA, setsA), setsA.per_x)
-    rowB = _row_sup(_direction_values(hB, setsB), setsB.per_x)
+    rowA = _row_sup(_cell_values(hA, setsA), setsA)
+    rowB = _row_sup(_cell_values(hB, setsB), setsB)
     integrand = np.maximum(sign * (rowA + rowB), 0.0)
     w = setsA.grid.rect_weights()
     return float(np.sqrt(np.sum(integrand[contact] ** 2 * w[contact])))

@@ -17,9 +17,6 @@ __all__ = [
     "Sample",
     "StepCDF",
     "ecdf_build",
-    "ecdf_eval",
-    "ecdf_left_limit",
-    "quantile",
     "weighted_ecdf",
     "load_sample_csv",
 ]
@@ -143,18 +140,6 @@ def weighted_ecdf(values: np.ndarray, weights: np.ndarray) -> StepCDF:
     cum = np.cumsum(mass[keep])
     cum[-1] = 1.0
     return StepCDF(jump_points=uniq[keep], cum_probs=cum, n=float(total))
-
-
-def ecdf_eval(F: StepCDF, x):
-    return F.eval(x)
-
-
-def ecdf_left_limit(F: StepCDF, x):
-    return F.left_limit(x)
-
-
-def quantile(F: StepCDF, tau):
-    return F.quantile(tau)
 
 
 class CsvParseError(ValueError):

@@ -3,18 +3,27 @@ combined CDF band, the dominance test, and the constant-effect diagnostic.
 
 All bootstrap directions are evaluated on the fixed candidate structure of
 the plug-in objective, so every replicate reuses the same precomputed
-searchsorted indices and only the cumulative weight arrays change.
+searchsorted indices and only the cumulative weight arrays change.  The
+derivative estimators read a direction only on the per-x eps-argmax cells,
+so each problem gathers those cells' indices once and a replicate
+evaluates its direction there alone, a few percent of the candidates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bootstrap import BootstrapConfig, BootstrapRun, bootstrap_statistic_distribution
-from .derivative import ArgmaxSets, Tuning, dominance_derivative_estimate, eps_argmax
-from .empirical import Sample, StepCDF, ecdf_build
+from .derivative import (
+    ArgmaxSets,
+    Tuning,
+    derivative_estimate,
+    dominance_derivative_estimate,
+    eps_argmax,
+)
+from .empirical import Sample, ecdf_build
 from .makarov import (
     MakarovStructure,
     SupportInfo,
@@ -23,9 +32,8 @@ from .makarov import (
     support_bounds,
     upper_bound,
 )
-from .stats import StatKind, dominance_stat, ks_band_stat
+from .stats import StatKind, dominance_stat
 from .valuemap import Grid, ValueFunction
-from . import derivative as _deriv
 
 __all__ = [
     "Band",
@@ -86,7 +94,8 @@ class _BandProblem:
         self.sets = sets
         self.sign = sign
         self.r_n = r_n
-        self.base = structure.base_values()
+        self.cells = structure.cell_indices(sets.cells)
+        self.base = structure.base_values(self.cells)
         self.starts1 = _block_starts(X1)
         self.starts0 = _block_starts(X0)
         self.kind = StatKind(j=1)
@@ -95,8 +104,8 @@ class _BandProblem:
         w1, w0 = ws
         d1 = _cum_from_weights(w1, self.starts1, self.sample_sizes[0])
         d0 = _cum_from_weights(w0, self.starts0, self.sample_sizes[1])
-        h = self.sign * self.r_n * (self.structure.evaluate(d1, d0) - self.base)
-        return _deriv.derivative_estimate(self.kind, self.sets, h)
+        h = self.sign * self.r_n * (self.structure.evaluate(d1, d0, self.cells) - self.base)
+        return derivative_estimate(self.kind, self.sets, h)
 
 
 def uniform_band(which: str, X1: Sample, X0: Sample, alpha: float = 0.05,
@@ -110,10 +119,7 @@ def uniform_band(which: str, X1: Sample, X0: Sample, alpha: float = 0.05,
     """
     if which not in ("lower", "upper"):
         raise ValueError(f"band target must be 'lower' or 'upper', got {which!r}")
-    config = config or BootstrapConfig(alpha=alpha)
-    if config.alpha != alpha:
-        config = BootstrapConfig(R=config.R, scheme=config.scheme, seed=config.seed,
-                                 alpha=alpha, threads=config.threads)
+    config = replace(config or BootstrapConfig(), alpha=alpha)
     tuning = tuning or Tuning(n=len(X1) + len(X0))
     F1, F0 = ecdf_build(X1), ecdf_build(X0)
     if grid is None:
@@ -183,8 +189,10 @@ class _DominanceProblem:
         self.signA, self.signB = signA, signB
         self.integrand_sign = integrand_sign
         self.r_n = r_n
-        self.baseA = sA.base_values()
-        self.baseB = sB.base_values()
+        self.cellsA = sA.cell_indices(setsA.cells)
+        self.cellsB = sB.cell_indices(setsB.cells)
+        self.baseA = sA.base_values(self.cellsA)
+        self.baseB = sB.base_values(self.cellsB)
         self.starts0 = _block_starts(X0)
         self.startsA = _block_starts(XA)
         self.startsB = _block_starts(XB)
@@ -195,8 +203,8 @@ class _DominanceProblem:
         d0 = _cum_from_weights(w0, self.starts0, n0)
         dA = _cum_from_weights(wA, self.startsA, nA)
         dB = _cum_from_weights(wB, self.startsB, nB)
-        hA = self.signA * self.r_n * (self.sA.evaluate(dA, d0) - self.baseA)
-        hB = self.signB * self.r_n * (self.sB.evaluate(dB, d0) - self.baseB)
+        hA = self.signA * self.r_n * (self.sA.evaluate(dA, d0, self.cellsA) - self.baseA)
+        hB = self.signB * self.r_n * (self.sB.evaluate(dB, d0, self.cellsB) - self.baseB)
         return dominance_derivative_estimate(
             self.setsA, self.setsB, self.contact, hA, hB, sign=self.integrand_sign
         )
@@ -215,10 +223,7 @@ def dominance_test(X0: Sample, XA: Sample, XB: Sample, alpha: float = 0.05,
     """
     if orientation not in ("necessary", "sufficient"):
         raise ValueError(f"unknown orientation {orientation!r}")
-    config = config or BootstrapConfig(alpha=alpha)
-    if config.alpha != alpha:
-        config = BootstrapConfig(R=config.R, scheme=config.scheme, seed=config.seed,
-                                 alpha=alpha, threads=config.threads)
+    config = replace(config or BootstrapConfig(), alpha=alpha)
     tuning = tuning or Tuning(n=len(X0) + len(XA) + len(XB))
     F0, FA, FB = ecdf_build(X0), ecdf_build(XA), ecdf_build(XB)
     if grid is None:

@@ -160,16 +160,31 @@ class MakarovStructure:
     def n_candidates(self) -> int:
         return 2 * self.events.shape[1]
 
-    def evaluate(self, d1: np.ndarray, d0: np.ndarray) -> np.ndarray:
+    def cell_indices(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Indices into (d1, d0) of the candidates at the given row-major
+        flat positions of the K x 2M candidate matrix, for ``evaluate``."""
+        M = self.events.shape[1]
+        k, c = np.divmod(flat, 2 * M)
+        right = c < M
+        c = np.where(right, c, c - M)
+        ia = np.where(right, self.i1r[k, c], self.i1l[k, c])
+        ib = np.where(right, self.i0r[k, c], self.i0l[k, c])
+        return ia, ib
+
+    def evaluate(self, d1: np.ndarray, d0: np.ndarray, cells=None) -> np.ndarray:
         """g1(u) - g0(u - x) over all candidates, for step functions with
         the same jump points as (F1, F0) and cumulative arrays d1, d0
-        (leading zero included)."""
+        (leading zero included).  With ``cells`` from ``cell_indices``,
+        only at those candidates, as a flat array in the same order."""
+        if cells is not None:
+            ia, ib = cells
+            return d1[ia] - d0[ib]
         right = d1[self.i1r] - d0[self.i0r]
         left = d1[self.i1l] - d0[self.i0l]
         return np.concatenate((right, left), axis=1)
 
-    def base_values(self) -> np.ndarray:
-        return self.evaluate(self.c1, self.c0)
+    def base_values(self, cells=None) -> np.ndarray:
+        return self.evaluate(self.c1, self.c0, cells)
 
     def objective(self, orientation: str = "lower") -> GriddedObjective:
         sign = 1.0 if orientation == "lower" else -1.0

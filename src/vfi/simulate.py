@@ -11,7 +11,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
 from .bootstrap import BootstrapConfig, _mix, stream
 from .empirical import Sample
@@ -62,7 +61,10 @@ class PowerCurve:
 
 
 def _normal_lower_bound(x: np.ndarray) -> np.ndarray:
-    # closed form of the lower bound when both marginals are standard normal
+    # closed form of the lower bound when both marginals are standard normal;
+    # scipy.stats takes about a second to import and only this design needs it
+    from scipy.stats import norm
+
     return np.maximum(2.0 * norm.cdf(x / 2.0) - 1.0, 0.0)
 
 

@@ -136,6 +136,18 @@ class TestErrors:
         r = run("bounds")
         assert r.returncode == 2
 
+    def test_bad_taus_exit_2(self, data):
+        r = run("quantile-bounds", "--treated", data["treated"], "--control",
+                data["control"], "--taus", "0.25,half")
+        assert r.returncode == 2
+        assert "--taus" in r.stderr and "0.25,half" in r.stderr
+
+    def test_bad_deltas_exit_2(self):
+        r = run("simulate", "normal", "--n", "40", "--R", "19", "--reps", "1",
+                "--deltas", "0,,1")
+        assert r.returncode == 2
+        assert "--deltas" in r.stderr and "0,,1" in r.stderr
+
     def test_unknown_flag_exit_2(self, data):
         r = run("bounds", "--treated", data["treated"], "--control", data["control"],
                 "--frobnicate")

@@ -159,6 +159,38 @@ class TestDerivativeEstimate:
                 )
                 assert d <= C * gap + 1e-12
 
+    def test_cells_match_dense_masks(self):
+        # h on every candidate, h on sets.cells only, and the masked dense
+        # reductions all give the same bits, ragged objectives included
+        rng = np.random.default_rng(36)
+        for _ in range(50):
+            k, c = rng.integers(2, 8), rng.integers(2, 6)
+            valid = rng.uniform(size=(k, c)) < 0.7
+            valid[np.arange(k), rng.integers(0, c, k)] = True
+            f = GriddedObjective(grid=unit_grid(k), values=np.round(rng.normal(0, 1, (k, c)), 1),
+                                 valid=valid)
+            sets = eps_argmax(f, FixedTuning(a_n=0.3, b_n=0.5))
+            assert_array_equal(sets.cells, np.flatnonzero(sets.per_x))
+            h = np.round(rng.normal(0, 1, (k, c)), 1)
+            row = np.where(sets.per_x, h, -np.inf).max(axis=1)
+            w = f.grid.rect_weights()
+            dense = {
+                1: max(row.max(), -row.min()),
+                2: max(np.where(sets.joint, h, -np.inf).max(), 0.0),
+                3: np.sum(np.abs(row) ** 2.0 * w) ** 0.5,
+                4: np.sum(np.maximum(row, 0.0)[sets.contact] ** 2.0 * w[sets.contact]) ** 0.5,
+            }
+            for j, want in dense.items():
+                kind = StatKind(j, p=2.0)
+                assert derivative_estimate(kind, sets, h) == float(want)
+                assert derivative_estimate(kind, sets, h.ravel()[sets.cells]) == float(want)
+
+    def test_joint_outside_per_x_rejected(self):
+        with pytest.raises(ValueError, match="inside"):
+            ArgmaxSets(grid=unit_grid(2), per_x=np.array([[True, False], [True, False]]),
+                       joint=np.array([[False, True], [False, False]]),
+                       contact=np.ones(2, dtype=bool))
+
     def test_monotone_in_slack_for_positive_directions(self):
         rng = np.random.default_rng(34)
         for _ in range(50):

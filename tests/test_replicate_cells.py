@@ -1,0 +1,134 @@
+"""Bootstrap replicates evaluated only on the per-x eps-argmax cells must
+equal, bit for bit, a dense reference that evaluates the direction on every
+candidate of the Makarov structure and masks the rest away."""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_array_equal
+
+from vfi.bootstrap import BootstrapConfig, bootstrap_statistic_distribution
+from vfi.derivative import Tuning, eps_argmax
+from vfi.empirical import Sample, ecdf_build
+from vfi.inference import _block_starts, _cum_from_weights, dominance_test, uniform_band
+from vfi.makarov import MakarovStructure, default_grid, lower_bound, support_bounds, upper_bound
+from vfi.valuemap import Grid
+
+
+def _dense_row_sup(h, per_x):
+    return np.where(per_x, h, -np.inf).max(axis=1)
+
+
+class _DenseBand:
+    """Sup-statistic replicates from h on all K x 2M candidates."""
+
+    def __init__(self, which, X1, X0, grid, tuning):
+        self.sample_sizes = [len(X1), len(X0)]
+        self.s = MakarovStructure(ecdf_build(X1), ecdf_build(X0), grid)
+        self.per_x = eps_argmax(self.s.objective(which), tuning).per_x
+        self.scale = (1.0 if which == "lower" else -1.0) * tuning.r_n
+        self.base = self.s.evaluate(self.s.c1, self.s.c0)
+        self.starts = (_block_starts(X1), _block_starts(X0))
+
+    def replicate_stat(self, ws):
+        d1, d0 = (_cum_from_weights(w, st, len(w)) for w, st in zip(ws, self.starts))
+        h = self.scale * (self.s.evaluate(d1, d0) - self.base)
+        row = _dense_row_sup(h, self.per_x)
+        return float(max(row.max(), -row.min()))
+
+
+class _DenseDominance:
+    """One-sided L2 dominance replicates from h on all candidates."""
+
+    def __init__(self, X0, XA, XB, grid, tuning, orientation):
+        F0, FA, FB = ecdf_build(X0), ecdf_build(XA), ecdf_build(XB)
+        self.sample_sizes = [len(X0), len(XA), len(XB)]
+        if orientation == "necessary":
+            (oA, oB), self.sign = ("lower", "upper"), 1.0
+            gap = lower_bound(FA, F0, grid).values - upper_bound(FB, F0, grid).values
+        else:
+            (oA, oB), self.sign = ("upper", "lower"), -1.0
+            gap = upper_bound(FA, F0, grid).values - lower_bound(FB, F0, grid).values
+        self.contact = np.abs(gap) <= tuning.b_n
+        if not self.contact.any():
+            self.contact = np.ones(len(grid), dtype=bool)
+        self.parts = []
+        for F, o in ((FA, oA), (FB, oB)):
+            s = MakarovStructure(F, F0, grid)
+            per_x = eps_argmax(s.objective(o), tuning).per_x
+            scale = (1.0 if o == "lower" else -1.0) * tuning.r_n
+            self.parts.append((s, per_x, scale, s.evaluate(s.c1, s.c0)))
+        self.w = grid.rect_weights()
+        self.starts = [_block_starts(X) for X in (X0, XA, XB)]
+
+    def replicate_stat(self, ws):
+        d0, dA, dB = (_cum_from_weights(w, st, len(w)) for w, st in zip(ws, self.starts))
+        rows = [
+            _dense_row_sup(scale * (s.evaluate(d, d0) - base), per_x)
+            for d, (s, per_x, scale, base) in zip((dA, dB), self.parts)
+        ]
+        integrand = np.maximum(self.sign * (rows[0] + rows[1]), 0.0)
+        c = self.contact
+        return float(np.sqrt(np.sum(integrand[c] ** 2 * self.w[c])))
+
+
+def _sample(rng, loc, n, decimals=None):
+    v = rng.normal(loc, 1.0, n)
+    return Sample(v if decimals is None else np.round(v, decimals))
+
+
+@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize("scheme", ["multinomial", "bayesian"])
+@pytest.mark.parametrize("which", ["lower", "upper"])
+def test_band_replicates_match_dense(which, scheme, ties):
+    rng = np.random.default_rng([41, ties, scheme == "bayesian", which == "upper"])
+    decimals = 1 if ties else None
+    X1, X0 = _sample(rng, 0.4, 37, decimals), _sample(rng, 0.0, 29, decimals)
+    grid = default_grid(support_bounds(X1, X0), 0.05)
+    tuning = Tuning(n=len(X1) + len(X0))
+    cfg = BootstrapConfig(R=29, scheme=scheme, seed=int(rng.integers(1000)))
+    band = uniform_band(which, X1, X0, config=cfg, grid=grid, tuning=tuning)
+    dense = bootstrap_statistic_distribution(_DenseBand(which, X1, X0, grid, tuning), cfg)
+    assert_array_equal(band.run.replicates, dense.replicates)
+
+
+@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize("scheme", ["multinomial", "bayesian"])
+@pytest.mark.parametrize("orientation", ["necessary", "sufficient"])
+def test_dominance_replicates_match_dense(orientation, scheme, ties):
+    rng = np.random.default_rng([42, ties, scheme == "bayesian", orientation == "sufficient"])
+    decimals = 1 if ties else None
+    X0 = _sample(rng, 0.0, 31, decimals)
+    XA = _sample(rng, 0.3, 27, decimals)
+    XB = _sample(rng, 0.0, 34, decimals)
+    grid = default_grid(support_bounds(XA, X0), 0.05)
+    tuning = Tuning(n=len(X0) + len(XA) + len(XB))
+    cfg = BootstrapConfig(R=29, scheme=scheme, seed=int(rng.integers(1000)))
+    res = dominance_test(X0, XA, XB, config=cfg, grid=grid, tuning=tuning,
+                         orientation=orientation)
+    dense = _DenseDominance(X0, XA, XB, grid, tuning, orientation)
+    assert not dense.contact.all()
+    assert_array_equal(res.run.replicates,
+                       bootstrap_statistic_distribution(dense, cfg).replicates)
+    assert res.run.replicates.max() > 0
+
+
+@pytest.mark.parametrize("orientation", ["necessary", "sufficient"])
+def test_dominance_empty_contact_falls_back(orientation):
+    # a grid strictly inside the range, where the bound gap is never within
+    # a tiny b_n of zero, so the contact set is empty and the whole grid is used
+    rng = np.random.default_rng(43)
+    X0, XA, XB = _sample(rng, 0.0, 30), _sample(rng, 1.5, 30), _sample(rng, 0.0, 30)
+    grid = Grid(points=np.linspace(-0.5, 1.5, 21), step=0.1)
+    tuning = Tuning(n=90, b_const=1e-9)
+    F0, FA, FB = ecdf_build(X0), ecdf_build(XA), ecdf_build(XB)
+    gaps = (lower_bound(FA, F0, grid).values - upper_bound(FB, F0, grid).values,
+            upper_bound(FA, F0, grid).values - lower_bound(FB, F0, grid).values)
+    assert all(np.all(np.abs(g) > tuning.b_n) for g in gaps)
+    cfg = BootstrapConfig(R=29, seed=43)
+    res = dominance_test(X0, XA, XB, config=cfg, grid=grid, tuning=tuning,
+                         orientation=orientation)
+    dense = _DenseDominance(X0, XA, XB, grid, tuning, orientation)
+    assert dense.contact.all()
+    assert_array_equal(res.run.replicates,
+                       bootstrap_statistic_distribution(dense, cfg).replicates)
+    assert res.run.replicates.max() > 0
