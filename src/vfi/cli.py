@@ -22,7 +22,7 @@ from .bootstrap import BootstrapConfig
 from .derivative import Tuning
 from .empirical import CsvParseError, load_sample_csv
 from .inference import Band, cdf_band, dominance_test, uniform_band
-from .makarov import bounds_to_csv, compute_bounds, quantile_bounds
+from .makarov import GridBudgetError, bounds_to_csv, compute_bounds, quantile_bounds
 from .empirical import ecdf_build
 from .simulate import ExperimentConfig, run_normal_location, run_uniform_dominance
 
@@ -46,6 +46,14 @@ def _float_list(text: str) -> tuple[float, ...]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _levels(text: str) -> tuple[float, ...]:
+    """argparse type for comma-separated quantile levels in (0, 1)."""
+    taus = _float_list(text)
+    if not all(0.0 < t < 1.0 for t in taus):
+        raise argparse.ArgumentTypeError(f"levels must lie in (0, 1), got {text!r}")
+    return taus
 
 
 def _fmt(x: float) -> str:
@@ -119,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantile-bounds", help="bounds on effect quantiles")
     _two_sample_args(p)
-    p.add_argument("--taus", type=_float_list, default="0.1,0.25,0.5,0.75,0.9",
+    p.add_argument("--taus", type=_levels, default="0.1,0.25,0.5,0.75,0.9",
                    help="comma-separated levels in (0,1)")
     _add_common(p, with_bootstrap=False)
 
@@ -288,6 +296,9 @@ def run_cli(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 1
+    except GridBudgetError as exc:  # a --grid-step too fine is a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (CsvParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,6 +19,7 @@ from .valuemap import Grid, GriddedObjective, ValueFunction
 
 __all__ = [
     "BoundPair",
+    "GridBudgetError",
     "SupportInfo",
     "MakarovStructure",
     "lower_bound",
@@ -33,7 +34,12 @@ __all__ = [
 ]
 
 DEFAULT_GRID_POINTS = 512
+MAX_GRID_POINTS = 1_000_000
 _CHUNK = 200_000  # cap on grid-by-sample work arrays
+
+
+class GridBudgetError(ValueError):
+    """A requested grid step would give more than MAX_GRID_POINTS points."""
 
 
 @dataclass(frozen=True)
@@ -54,61 +60,113 @@ class BoundPair:
     n1: int
 
 
-def _eval_cdf(jumps: np.ndarray, cum0: np.ndarray, x: np.ndarray, left: bool) -> np.ndarray:
-    idx = np.searchsorted(jumps, x, side="left" if left else "right")
-    return cum0[idx]
+def _chunks(grid: Grid, width: int):
+    """Slices of grid rows whose row-by-width work arrays stay near _CHUNK cells."""
+    rows = max(1, _CHUNK // max(1, width))
+    for s in range(0, len(grid), rows):
+        yield slice(s, s + rows)
 
 
-def _scan(F1: StepCDF, F0: StepCDF, grid: Grid, combine, reduce) -> np.ndarray:
-    """Per grid x, reduce combine(F1-part, F0-part) at u over the full
-    candidate family: right-continuous values and left limits at both
-    treated jump points and shifted control jump points.  Both one-sided
-    limits at every event are needed because a shifted control point can
-    collide with a treated point in floating point, collapsing the piece
-    between them otherwise.
+def _row_indices(j1: np.ndarray, j0: np.ndarray, xs: np.ndarray):
+    """Candidate indices at the grid rows xs, compared in u-space where the
+    control jumps sit at row = j0 + x.  Returns six (len(xs), .) arrays:
 
-    All comparisons happen in u-space: the control jumps sit at j0 + x as
-    floats, so the scan agrees bit for bit with evaluating the ECDF of the
-    shifted sample X0 + x.  Comparing j1 - x against j0 instead can flip an
-    ordering at rounding scale and pick up a different piece.
+        #row <= j1,  #row < j1     (per treated jump)
+        #row <= row, #row < row    (per shifted control jump)
+        #j1 <= row,  #j1 < row     (per shifted control jump)
+
+    Only the first costs a searchsorted per row; the rest follow from it in
+    linear time.  ``row`` is non-decreasing because j0 is increasing and
+    rounding is monotone, so its ties come only from rounding in the shift.
+    """
+    m, n0 = xs.size, j0.size
+    rows = j0[None, :] + xs[:, None]
+    le_t = np.empty((m, j1.size), dtype=np.intp)
+    for r in range(m):
+        le_t[r] = np.searchsorted(rows[r], j1, side="right")
+    # runs of equal values in each row: #row < row is the start of the run,
+    # #row <= row its end (found from the right, on the reversed row)
+    pos = np.arange(n0)
+    starts = np.ones((m, n0), dtype=bool)
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
+    lt_c = np.where(starts, pos, 0)
+    np.maximum.accumulate(lt_c, axis=1, out=lt_c)
+    ends = np.ones((m, n0), dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    le_c = np.where(ends[:, ::-1], n0 - pos, n0)
+    np.minimum.accumulate(le_c, axis=1, out=le_c)
+    le_c = le_c[:, ::-1]
+    # #row < j1: drop the tie run that ends at #row <= j1 (``last`` is the
+    # flat position of that run's last element; where #row <= j1 is 0 it
+    # points at row[0] > j1, which is no tie)
+    last = le_t - 1
+    np.maximum(last, 0, out=last)
+    last += n0 * np.arange(m)[:, None]
+    tie = rows.ravel()[last] == j1
+    lt_t = le_t.copy()
+    lt_t[tie] = lt_c.ravel()[last[tie]]
+    # j1[k] < row[p] iff #row <= j1[k] is at most p, and j1[k] <= row[p] iff
+    # #row < j1[k] is at most p: count both per p
+    off = (n0 + 1) * np.arange(m)[:, None]
+
+    def at_most(idx):
+        hist = np.bincount((idx + off).ravel(), minlength=m * (n0 + 1))
+        counts = hist.reshape(m, n0 + 1)[:, :n0]
+        return np.cumsum(counts, axis=1, out=counts)
+
+    return le_t, lt_t, le_c, lt_c, at_most(lt_t), at_most(le_t)
+
+
+def _scan(F1: StepCDF, F0: StepCDF, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Per grid x, max of F1-part - F0-part and min of (1 - F0-part) +
+    F1-part over the full candidate family: right-continuous values and left
+    limits at both treated jump points and shifted control jump points.
+    Both one-sided limits at every event are needed because a shifted
+    control point can collide with a treated point in floating point,
+    collapsing the piece between them otherwise.
+
+    All comparisons happen in u-space (see ``_row_indices``), so the scan
+    agrees bit for bit with evaluating the ECDF of the shifted sample
+    X0 + x.  Comparing j1 - x against j0 instead can flip an ordering at
+    rounding scale and pick up a different piece.
     """
     j1, j0 = F1.jump_points, F0.jump_points
     c1 = np.concatenate(([0.0], F1.cum_probs))
     c0 = np.concatenate(([0.0], F0.cum_probs))
-    out = np.empty(len(grid))
-    rows = max(1, _CHUNK // max(1, j1.size + j0.size))
-    for s in range(0, len(grid), rows):
-        xs = grid.points[s : s + rows, None]
-        e0 = j0[None, :] + xs
-        m = e0.shape[0]
-        f0r_t = np.empty((m, j1.size))
-        f0l_t = np.empty((m, j1.size))
-        f0r_c = np.empty((m, j0.size))
-        f0l_c = np.empty((m, j0.size))
-        for r in range(m):
-            row = e0[r]
-            f0r_t[r] = c0[np.searchsorted(row, j1, side="right")]
-            f0l_t[r] = c0[np.searchsorted(row, j1, side="left")]
-            f0r_c[r] = c0[np.searchsorted(row, row, side="right")]
-            f0l_c[r] = c0[np.searchsorted(row, row, side="left")]
-        blocks = (
-            combine(c1[None, 1:], f0r_t),
-            combine(c1[None, :-1], f0l_t),
-            combine(_eval_cdf(j1, c1, e0, left=False), f0r_c),
-            combine(_eval_cdf(j1, c1, e0, left=True), f0l_c),
-        )
-        out[s : s + rows] = reduce(np.concatenate(blocks, axis=1), axis=1)
-    return out
+    lower = np.empty(len(grid))
+    upper = np.empty(len(grid))
+    for s in _chunks(grid, j1.size + j0.size):
+        # one call per chunk, so a chunk's indices are freed before the next
+        lower[s], upper[s] = _extremes(c1, c0, _row_indices(j1, j0, grid.points[s]))
+    return lower, upper
+
+
+def _extremes(c1: np.ndarray, c0: np.ndarray, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Row max of F1-part - F0-part and row min of (1 - F0-part) + F1-part,
+    with the parts looked up in the cumulative arrays c1, c0 at the indices
+    from ``_row_indices``."""
+    le_t, lt_t, le_c, lt_c, le_j, lt_j = indices
+    lo, hi = [], []
+    # treated jumps right and left, then shifted control jumps right and left
+    for i1, i0 in ((slice(1, None), le_t), (slice(None, -1), lt_t),
+                   (le_j, le_c), (lt_j, lt_c)):
+        a, b = c1[i1], c0[i0]
+        lo.append((a - b).max(axis=1))
+        np.subtract(1.0, b, out=b)
+        b += a
+        hi.append(b.min(axis=1))
+    return np.max(lo, axis=0), np.min(hi, axis=0)
+
+
+def _clamped(values: np.ndarray, grid: Grid) -> ValueFunction:
+    return ValueFunction(grid=grid, values=np.clip(values, 0.0, 1.0, out=values))
 
 
 def lower_bound(F1: StepCDF, F0: StepCDF, grid: Grid) -> ValueFunction:
     """sup_u F1(u) - F0(u - x) at each grid x, clamped to [0, 1].  The
     supremum over all of R is attained on the candidate family (or in a
     tail, where the difference is 0)."""
-    out = _scan(F1, F0, grid, lambda a, b: a - b, np.max)
-    np.maximum(out, 0.0, out=out)
-    np.clip(out, 0.0, 1.0, out=out)
-    return ValueFunction(grid=grid, values=out)
+    return _clamped(_scan(F1, F0, grid)[0], grid)
 
 
 def upper_bound(F1: StepCDF, F0: StepCDF, grid: Grid) -> ValueFunction:
@@ -117,10 +175,7 @@ def upper_bound(F1: StepCDF, F0: StepCDF, grid: Grid) -> ValueFunction:
     Candidates evaluate as (1 - F0-part) + F1-part so the degenerate case
     (F0-part equal to 1) reproduces F1 values bit for bit.
     """
-    out = _scan(F1, F0, grid, lambda a, b: (1.0 - b) + a, np.min)
-    np.minimum(out, 1.0, out=out)
-    np.maximum(out, 0.0, out=out)
-    return ValueFunction(grid=grid, values=out)
+    return _clamped(_scan(F1, F0, grid)[1], grid)
 
 
 class MakarovStructure:
@@ -130,40 +185,38 @@ class MakarovStructure:
     {F0 jumps + x}, each taken right-continuously and as a left limit
     (columns [0, M) and [M, 2M)).  Because bootstrap directions jump at the
     same event points, the structure evaluates any reweighting of the same
-    observations exactly via precomputed searchsorted indices.
+    observations exactly via the candidate indices the bound scan uses.
     """
 
     def __init__(self, F1: StepCDF, F0: StepCDF, grid: Grid):
         self.F1, self.F0, self.grid = F1, F0, grid
         j1, j0 = F1.jump_points, F0.jump_points
-        x = grid.points[:, None]
-        events = np.concatenate(
-            (np.broadcast_to(j1, (len(grid), j1.size)), j0[None, :] + x), axis=1
-        )
-        self.events = events
-        self.i1r = np.searchsorted(j1, events, side="right")
-        self.i1l = np.searchsorted(j1, events, side="left")
-        # control jumps live in u-space at j0 + x; index every candidate
-        # against those shifted positions so the structure matches the
-        # direct scan bit for bit (j1 - x vs j0 need not order the same way)
-        K, M = events.shape
-        self.i0r = np.empty((K, M), dtype=np.intp)
-        self.i0l = np.empty((K, M), dtype=np.intp)
-        for k in range(K):
-            row = events[k, j1.size :]
-            self.i0r[k] = np.searchsorted(row, events[k], side="right")
-            self.i0l[k] = np.searchsorted(row, events[k], side="left")
+        n1 = j1.size
+        shape = (len(grid), n1 + j0.size)
+        self.i1r = np.empty(shape, dtype=np.intp)
+        self.i1l = np.empty(shape, dtype=np.intp)
+        self.i0r = np.empty(shape, dtype=np.intp)
+        self.i0l = np.empty(shape, dtype=np.intp)
+        # treated candidate i: #j1 <= j1[i] is i + 1 and #j1 < j1[i] is i
+        self.i1r[:, :n1] = np.arange(1, n1 + 1)
+        self.i1l[:, :n1] = np.arange(n1)
+        for s in _chunks(grid, shape[1]):
+            le_t, lt_t, le_c, lt_c, le_j, lt_j = _row_indices(j1, j0, grid.points[s])
+            self.i1r[s, n1:] = le_j
+            self.i1l[s, n1:] = lt_j
+            self.i0r[s, :n1], self.i0r[s, n1:] = le_t, le_c
+            self.i0l[s, :n1], self.i0l[s, n1:] = lt_t, lt_c
         self.c1 = np.concatenate(([0.0], F1.cum_probs))
         self.c0 = np.concatenate(([0.0], F0.cum_probs))
 
     @property
     def n_candidates(self) -> int:
-        return 2 * self.events.shape[1]
+        return 2 * self.i1r.shape[1]
 
     def cell_indices(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Indices into (d1, d0) of the candidates at the given row-major
         flat positions of the K x 2M candidate matrix, for ``evaluate``."""
-        M = self.events.shape[1]
+        M = self.i1r.shape[1]
         k, c = np.divmod(flat, 2 * M)
         right = c < M
         c = np.where(right, c, c - M)
@@ -190,11 +243,9 @@ class MakarovStructure:
         sign = 1.0 if orientation == "lower" else -1.0
         if orientation not in ("lower", "upper"):
             raise ValueError(f"unknown orientation {orientation!r}")
-        u = np.concatenate((self.events, self.events), axis=1)
         return GriddedObjective(
             grid=self.grid,
             values=sign * self.base_values(),
-            u=u,
             tag="makarov-lower" if sign > 0 else "makarov-upper-negated",
         )
 
@@ -214,7 +265,7 @@ def quantile_bounds(F1: StepCDF, F0: StepCDF, taus) -> tuple[np.ndarray, np.ndar
     plus points 1e-9 inside each endpoint.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    if np.any(taus <= 0.0) or np.any(taus >= 1.0):
+    if not np.all((taus > 0.0) & (taus < 1.0)):
         raise ValueError("quantile level must lie in (0, 1)")
     eps = 1e-9
     b1 = F1.cum_probs
@@ -252,13 +303,25 @@ def support_bounds(X1: Sample, X0: Sample) -> SupportInfo:
 
 
 def default_grid(support: SupportInfo, step: float | None = None) -> Grid:
-    """Uniform grid covering the global range, padded one step each side."""
+    """Uniform grid covering the global range, padded one step each side.
+
+    Raises GridBudgetError, before allocating, when the grid would have more
+    than MAX_GRID_POINTS points."""
     lo, hi = support.global_range
+    if not np.isfinite(hi - lo):
+        raise ValueError(f"effect range [{lo!r}, {hi!r}] is too wide to grid: "
+                         "its width is not a finite float")
     if step is None:
         step = (hi - lo) / DEFAULT_GRID_POINTS if hi > lo else 1.0
-    if not (step > 0):
-        raise ValueError("grid step must be positive")
-    n_inner = int(np.ceil((hi - lo) / step - 1e-12))
+    if not (0 < step < np.inf):
+        raise ValueError("grid step must be positive and finite")
+    steps = (hi - lo) / step
+    # capped before int(), which fails on an infinite count
+    n_inner = int(np.ceil(steps - 1e-12)) if steps < MAX_GRID_POINTS else MAX_GRID_POINTS
+    if n_inner + 3 > MAX_GRID_POINTS:
+        raise GridBudgetError(
+            f"grid step {step!r} over [{lo!r}, {hi!r}] gives more than "
+            f"{MAX_GRID_POINTS} grid points, the limit")
     points = lo + step * np.arange(-1, n_inner + 2)
     return Grid(points=points, step=float(step))
 
@@ -267,9 +330,10 @@ def compute_bounds(X1: Sample, X0: Sample, grid: Grid | None = None, step: float
     F1, F0 = ecdf_build(X1), ecdf_build(X0)
     if grid is None:
         grid = default_grid(support_bounds(X1, X0), step)
+    lower, upper = _scan(F1, F0, grid)
     return BoundPair(
-        lower=lower_bound(F1, F0, grid),
-        upper=upper_bound(F1, F0, grid),
+        lower=_clamped(lower, grid),
+        upper=_clamped(upper, grid),
         grid=grid,
         n0=len(X0),
         n1=len(X1),

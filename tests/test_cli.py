@@ -142,6 +142,26 @@ class TestErrors:
         assert r.returncode == 2
         assert "--taus" in r.stderr and "0.25,half" in r.stderr
 
+    def test_nan_and_out_of_range_taus_exit_2(self, data):
+        for taus in ("nan", "0.5,1.5", "0"):
+            r = run("quantile-bounds", "--treated", data["treated"], "--control",
+                    data["control"], "--taus", taus)
+            assert r.returncode == 2, taus
+            assert "--taus" in r.stderr and "(0, 1)" in r.stderr
+
+    def test_grid_budget_exit_2(self, data):
+        r = run("bounds", "--treated", data["treated"], "--control", data["control"],
+                "--grid-step", "1e-9")
+        assert r.returncode == 2
+        assert "1000000 grid points" in r.stderr and "Traceback" not in r.stderr
+
+    def test_non_finite_range_exit_1(self, data, tmp_path):
+        p = tmp_path / "huge.csv"
+        p.write_text("1e308\n-1e308\n0.5\n")
+        r = run("bounds", "--treated", str(p), "--control", data["control"])
+        assert r.returncode == 1
+        assert "too wide" in r.stderr and "Traceback" not in r.stderr
+
     def test_bad_deltas_exit_2(self):
         r = run("simulate", "normal", "--n", "40", "--R", "19", "--reps", "1",
                 "--deltas", "0,,1")

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from vfi import makarov
 from vfi.empirical import Sample, ecdf_build
 from vfi.makarov import (
+    GridBudgetError,
     MakarovStructure,
+    SupportInfo,
     bounds_from_csv,
     bounds_to_csv,
     compute_bounds,
@@ -34,6 +37,48 @@ def brute_upper(F1, X0, x):
     for u in np.concatenate((F1.jump_points, G.jump_points)):
         worst = min(worst, F1(u) - G(u), F1.left_limit(u) - G.left_limit(u))
     return max(1.0 + worst, 0.0)
+
+
+def reference_scan(F1, F0, grid, combine, reduce):
+    """The scan before the shared index kernel: four searchsorted calls per
+    grid row, each against the shifted control jumps in u-space, and one
+    reduce over the concatenated candidate blocks."""
+    j1, j0 = F1.jump_points, F0.jump_points
+    c1 = np.concatenate(([0.0], F1.cum_probs))
+    c0 = np.concatenate(([0.0], F0.cum_probs))
+    out = np.empty(len(grid))
+    for k, x in enumerate(grid.points):
+        row = j0 + x
+        blocks = (
+            combine(c1[1:], c0[np.searchsorted(row, j1, side="right")]),
+            combine(c1[:-1], c0[np.searchsorted(row, j1, side="left")]),
+            combine(c1[np.searchsorted(j1, row, side="right")],
+                    c0[np.searchsorted(row, row, side="right")]),
+            combine(c1[np.searchsorted(j1, row, side="left")],
+                    c0[np.searchsorted(row, row, side="left")]),
+        )
+        out[k] = reduce(np.concatenate(blocks))
+    return out
+
+
+def reference_structure(F1, F0, grid):
+    """i1r, i1l, i0r, i0l by searchsorted of every candidate event."""
+    j1, j0 = F1.jump_points, F0.jump_points
+    x = grid.points[:, None]
+    events = np.concatenate((np.broadcast_to(j1, (len(grid), j1.size)), j0[None, :] + x), axis=1)
+    i0r = np.stack([np.searchsorted(ev[j1.size:], ev, side="right") for ev in events])
+    i0l = np.stack([np.searchsorted(ev[j1.size:], ev, side="left") for ev in events])
+    return (np.searchsorted(j1, events, side="right"), np.searchsorted(j1, events, side="left"),
+            i0r, i0l)
+
+
+def assert_kernel_matches_reference(F1, F0, grid):
+    lower, upper = makarov._scan(F1, F0, grid)
+    assert_array_equal(lower, reference_scan(F1, F0, grid, lambda a, b: a - b, np.max))
+    assert_array_equal(upper, reference_scan(F1, F0, grid, lambda a, b: (1.0 - b) + a, np.min))
+    s = MakarovStructure(F1, F0, grid)
+    for name, ref in zip(("i1r", "i1l", "i0r", "i0l"), reference_structure(F1, F0, grid)):
+        assert_array_equal(getattr(s, name), ref, err_msg=name)
 
 
 def random_pair(rng, nmax=15):
@@ -82,6 +127,51 @@ class TestBoundsOracle:
         g = Grid(points=np.array([0.5, 1.0, 2.0, 3.0, 3.5]), step=0.5)
         assert_array_equal(lower_bound(F1, F0, g).values, F1.left_limit(g.points))
         assert_array_equal(upper_bound(F1, F0, g).values, F1(g.points))
+
+
+class TestRowKernel:
+    """The shared candidate-index kernel against the per-row searchsorted
+    reference, bit for bit."""
+
+    def test_tie_heavy_lattice(self):
+        rng = np.random.default_rng(20)
+        for _ in range(60):
+            X1 = Sample(np.round(rng.normal(0, 1, rng.integers(1, 25)), 1))
+            X0 = Sample(np.round(rng.normal(0.2, 1, rng.integers(1, 25)), 1))
+            grid = default_grid(support_bounds(X1, X0), 0.1)
+            assert_kernel_matches_reference(ecdf_build(X1), ecdf_build(X0), grid)
+
+    def test_ulp_spaced_control_collides_after_shift(self):
+        # control jumps 1 ulp apart at 1.0 become ties at 8.0 (ulp eight
+        # times as large) once shifted by x = 7.0; treated jumps sit among them
+        X0 = Sample(1.0 + np.arange(40) * np.spacing(1.0))
+        X1 = Sample(np.concatenate((8.0 + np.arange(-10, 30) * np.spacing(8.0),
+                                    np.random.default_rng(21).normal(8.0, 1.0, 10))))
+        xs = 7.0 + np.arange(-20, 21) * np.spacing(7.0)
+        grid = Grid(points=xs, step=float(np.spacing(7.0)))
+        F1, F0 = ecdf_build(X1), ecdf_build(X0)
+        rows = F0.jump_points[None, :] + xs[:, None]
+        assert np.all(np.any(np.diff(rows, axis=1) == 0, axis=1))
+        assert np.any(np.isin(rows, F1.jump_points))
+        assert_kernel_matches_reference(F1, F0, grid)
+
+    def test_one_point_samples(self):
+        cases = [([0.0], [0.0]), ([1.5], [-2.0, 0.3, 4.0]), ([-1.0, 0.2, 2.0], [0.7])]
+        for x1, x0 in cases:
+            X1, X0 = Sample(np.array(x1)), Sample(np.array(x0))
+            grid = default_grid(support_bounds(X1, X0), 0.25)
+            assert_kernel_matches_reference(ecdf_build(X1), ecdf_build(X0), grid)
+
+    def test_grid_not_a_multiple_of_the_chunk(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        X1, X0 = Sample(np.round(rng.normal(0, 1, 17), 1)), Sample(rng.normal(0, 1, 12))
+        F1, F0 = ecdf_build(X1), ecdf_build(X0)
+        width = F1.jump_points.size + F0.jump_points.size
+        grid = default_grid(support_bounds(X1, X0), 0.13)
+        for rows in (1, 3, 7):
+            assert rows == 1 or len(grid) % rows, "the last chunk should be short"
+            monkeypatch.setattr(makarov, "_CHUNK", rows * width)
+            assert_kernel_matches_reference(F1, F0, grid)
 
 
 class TestStructure:
@@ -137,22 +227,33 @@ class TestSupport:
 
 class TestDefaultGrid:
     def test_pads_one_step(self):
-        from vfi.makarov import SupportInfo
-
         info = SupportInfo((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
         g = default_grid(info, 0.5)
         assert_allclose(g.points, [-0.5, 0.0, 0.5, 1.0, 1.5])
 
     def test_degenerate_range(self):
-        from vfi.makarov import SupportInfo
-
         info = SupportInfo((2.0, 2.0), (2.0, 2.0), (2.0, 2.0))
         g = default_grid(info)
         assert len(g) == 3 and g.points[1] == 2.0
 
-    def test_covers_range(self):
-        from vfi.makarov import SupportInfo
+    def test_budget_checked_before_allocating(self):
+        info = SupportInfo((0.0, 8.5), (0.0, 8.5), (0.0, 8.5))
+        with pytest.raises(GridBudgetError, match="1000000"):
+            default_grid(info, 1e-9)  # would be 8.5e9 points, 63 GiB
+        with pytest.raises(GridBudgetError):
+            default_grid(info, 5e-324)
+        assert len(default_grid(info, 8.5 / (makarov.MAX_GRID_POINTS - 3))) == makarov.MAX_GRID_POINTS
 
+    def test_rejects_non_finite_range_and_step(self):
+        wide = SupportInfo((-1e308, 1e308), (-1e308, 1e308), (-1e308, 1e308))
+        with pytest.raises(ValueError, match="too wide"):
+            default_grid(wide)
+        info = SupportInfo((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
+        for step in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                default_grid(info, step)
+
+    def test_covers_range(self):
         rng = np.random.default_rng(13)
         for _ in range(30):
             lo = rng.normal()
@@ -196,6 +297,8 @@ class TestQuantileBounds:
             quantile_bounds(F1, F0, 0.0)
         with pytest.raises(ValueError):
             quantile_bounds(F1, F0, 1.0)
+        with pytest.raises(ValueError):
+            quantile_bounds(F1, F0, [0.5, np.nan])
 
 
 class TestSerialization:
