@@ -2,10 +2,11 @@
 
 The lower/upper bound functions are suprema/infima of a difference of two
 step CDFs.  Because the objective is piecewise constant in u with jumps
-only at sample points, the optimum over all of R is attained on the finite
-event set {treated points} union {control points + x} together with their
-left limits; everything here is exact over that set.
-"""
+only at sample points, its values are those at the event set {treated
+points} union {control points + x}, taken right-continuously and as left
+limits; the bootstrap structure keeps that whole family.  The plug-in
+bounds need less: the supremum is a left limit and the infimum a right
+value at a shifted control point.  Everything here is exact."""
 
 from __future__ import annotations
 
@@ -118,44 +119,47 @@ def _row_indices(j1: np.ndarray, j0: np.ndarray, xs: np.ndarray):
 
 
 def _scan(F1: StepCDF, F0: StepCDF, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Per grid x, max of F1-part - F0-part and min of (1 - F0-part) +
-    F1-part over the full candidate family: right-continuous values and left
-    limits at both treated jump points and shifted control jump points.
-    Both one-sided limits at every event are needed because a shifted
-    control point can collide with a treated point in floating point,
-    collapsing the piece between them otherwise.
+    """Per grid x, sup and inf of D_x(u) = F1(u) - F0(u - x): the max of
+    F1-part - F0-part and the min of (1 - F0-part) + F1-part over the
+    candidate family of ``_row_indices``, evaluated only on the candidates
+    that dominate the rest.
 
-    All comparisons happen in u-space (see ``_row_indices``), so the scan
-    agrees bit for bit with evaluating the ECDF of the shifted sample
-    X0 + x.  Comparing j1 - x against j0 instead can flip an ordering at
-    rounding scale and pick up a different piece.
+    In u-space the control jumps sit at row = j0 + x.  D_x is a
+    right-continuous step function that rises only at treated jumps and
+    falls only at shifted control jumps.  From any piece, a walk right
+    through treated-only jumps never lowers D_x until the left limit at a
+    control jump, and a walk left never raises it until the right value at
+    one.  So the max is a left limit c1[#j1 < row[p]] - c0[#row < row[p]]
+    and the min a right value (1 - c0[#row <= row[p]]) + c1[#j1 <= row[p]].
+    The tails need no candidate: right of every control jump D_x ends at
+    c1[-1] - c0[-1] = 0, which the first left limit (F0-part 0) matches or
+    beats, and left of them it starts at 0, upper form 1, which the last
+    right value (F0-part 1) matches or beats.  Inside a tie run of ``row``
+    the scan takes c0[p] and c0[p + 1] in place of the run's start and end.
+    Both combine forms are monotone in each part in floating point, so
+    those values are dominated by the run's start (max) and end (min), and
+    the result is bit-identical to a reduce over the whole family, before
+    any clipping.
+
+    All comparisons happen in u-space, so the scan agrees bit for bit with
+    evaluating the ECDF of the shifted sample X0 + x.  Comparing j1 - x
+    against j0 instead can flip an ordering at rounding scale and pick up a
+    different piece.
     """
     j1, j0 = F1.jump_points, F0.jump_points
     c1 = np.concatenate(([0.0], F1.cum_probs))
     c0 = np.concatenate(([0.0], F0.cum_probs))
+    j1_inf = np.append(j1, np.inf)
+    after = 1.0 - c0[1:]  # 1 - F0-part just after each control jump
     lower = np.empty(len(grid))
     upper = np.empty(len(grid))
-    for s in _chunks(grid, j1.size + j0.size):
-        # one call per chunk, so a chunk's indices are freed before the next
-        lower[s], upper[s] = _extremes(c1, c0, _row_indices(j1, j0, grid.points[s]))
+    for s in _chunks(grid, j0.size):
+        rows = j0[None, :] + grid.points[s, None]
+        idx = np.searchsorted(j1, rows)  # #j1 < row
+        lower[s] = (c1[idx] - c0[:-1]).max(axis=1)
+        idx += j1_inf[idx] == rows  # #j1 <= row
+        upper[s] = (after + c1[idx]).min(axis=1)
     return lower, upper
-
-
-def _extremes(c1: np.ndarray, c0: np.ndarray, indices) -> tuple[np.ndarray, np.ndarray]:
-    """Row max of F1-part - F0-part and row min of (1 - F0-part) + F1-part,
-    with the parts looked up in the cumulative arrays c1, c0 at the indices
-    from ``_row_indices``."""
-    le_t, lt_t, le_c, lt_c, le_j, lt_j = indices
-    lo, hi = [], []
-    # treated jumps right and left, then shifted control jumps right and left
-    for i1, i0 in ((slice(1, None), le_t), (slice(None, -1), lt_t),
-                   (le_j, le_c), (lt_j, lt_c)):
-        a, b = c1[i1], c0[i0]
-        lo.append((a - b).max(axis=1))
-        np.subtract(1.0, b, out=b)
-        b += a
-        hi.append(b.min(axis=1))
-    return np.max(lo, axis=0), np.min(hi, axis=0)
 
 
 def _clamped(values: np.ndarray, grid: Grid) -> ValueFunction:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from vfi import makarov
@@ -37,6 +39,18 @@ def brute_upper(F1, X0, x):
     for u in np.concatenate((F1.jump_points, G.jump_points)):
         worst = min(worst, F1(u) - G(u), F1.left_limit(u) - G.left_limit(u))
     return max(1.0 + worst, 0.0)
+
+
+def brute_extremes(F1, X0, x):
+    """Unclipped max of F1 - G and min of (1 - G) + F1, with G the ECDF of
+    X0 + x, evaluated at every event of F1 and G, their left limits, the
+    midpoints between consecutive events and a point in each tail."""
+    G = ecdf_build(Sample(X0.values + x))
+    ev = np.union1d(F1.jump_points, G.jump_points)
+    u = np.concatenate((ev, (ev[1:] + ev[:-1]) / 2, [ev[0] - 1.0, ev[-1] + 1.0]))
+    a = np.concatenate((F1(u), F1.left_limit(ev)))
+    b = np.concatenate((G(u), G.left_limit(ev)))
+    return (a - b).max(), ((1.0 - b) + a).min()
 
 
 def reference_scan(F1, F0, grid, combine, reduce):
@@ -129,9 +143,38 @@ class TestBoundsOracle:
         assert_array_equal(upper_bound(F1, F0, g).values, F1(g.points))
 
 
+lattice_sample = st.lists(st.integers(-12, 12), min_size=1, max_size=12).map(
+    lambda ks: Sample(np.array(ks) * 0.1))
+
+
+class TestScanOracle:
+    """``_scan`` against direct evaluation of D_x, bit for bit and before
+    clipping, on tie-heavy samples where shifted control jumps collide with
+    treated jumps and with each other."""
+
+    @given(lattice_sample, lattice_sample, st.sampled_from([0.1, 0.05, 0.3]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_direct_evaluation(self, X1, X0, step):
+        F1, F0 = ecdf_build(X1), ecdf_build(X0)
+        grid = default_grid(support_bounds(X1, X0), step)
+        lower, upper = makarov._scan(F1, F0, grid)
+        for k, x in enumerate(grid.points):
+            lo, hi = brute_extremes(F1, X0, x)
+            assert lower[k] == lo and upper[k] == hi, (k, x)
+
+    def test_ulp_spaced_control(self):
+        X0 = Sample(1.0 + np.arange(12) * np.spacing(1.0))
+        X1 = Sample(8.0 + np.arange(-4, 8) * np.spacing(8.0))
+        grid = Grid(points=7.0 + np.arange(-6, 7) * np.spacing(7.0), step=float(np.spacing(7.0)))
+        lower, upper = makarov._scan(ecdf_build(X1), ecdf_build(X0), grid)
+        for k, x in enumerate(grid.points):
+            assert (lower[k], upper[k]) == brute_extremes(ecdf_build(X1), X0, x), (k, x)
+
+
 class TestRowKernel:
     """The shared candidate-index kernel against the per-row searchsorted
-    reference, bit for bit."""
+    reference, bit for bit: ``_scan`` directly, and ``_row_indices`` through
+    the four index arrays of ``MakarovStructure``."""
 
     def test_tie_heavy_lattice(self):
         rng = np.random.default_rng(20)
