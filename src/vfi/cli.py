@@ -21,7 +21,7 @@ import numpy as np
 from .bootstrap import BootstrapConfig
 from .derivative import Tuning
 from .empirical import CsvParseError, load_sample_csv
-from .inference import Band, cdf_band, dominance_test, uniform_band
+from .inference import Band, bound_bands, cdf_band, dominance_test, uniform_band
 from .makarov import GridBudgetError, bounds_to_csv, compute_bounds, quantile_bounds
 from .empirical import ecdf_build
 from .simulate import ExperimentConfig, run_normal_location, run_uniform_dominance
@@ -35,8 +35,23 @@ def _env(name: str, cast, fallback):
         return fallback
     try:
         return cast(raw)
+    except argparse.ArgumentTypeError as exc:  # a usage error, as for the flag
+        print(f"vfi: error: VFI_{name}: {exc}", file=sys.stderr)
+        raise SystemExit(2)
     except ValueError:
         raise SystemExit(f"invalid value for VFI_{name}: {raw!r}")
+
+
+def _grid_step(text: str) -> float:
+    """argparse type for a grid step: a positive finite number."""
+    try:
+        step = float(text)
+    except ValueError:
+        step = float("nan")
+    if not 0.0 < step < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"grid step must be a positive finite number, got {text!r}")
+    return step
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -73,7 +88,7 @@ def _json_dumps(obj) -> str:
 
 
 def _add_common(p, with_bootstrap: bool):
-    p.add_argument("--grid-step", type=float, default=_env("GRID_STEP", float, None))
+    p.add_argument("--grid-step", type=_grid_step, default=_env("GRID_STEP", _grid_step, None))
     p.add_argument("--output", default=None, help="output path (default: stdout)")
     if with_bootstrap:
         p.add_argument("--alpha", type=float, default=_env("ALPHA", float, 0.05))
@@ -213,11 +228,8 @@ def _cmd_cdf_band(args) -> int:
     X1, X0 = _load_pair(args)
     half = args.alpha / 2.0
     tuning = _tuning(args, len(X1) + len(X0))
-    lower = uniform_band("lower", X1, X0, alpha=half, config=_bconfig(args, half),
-                         step=args.grid_step, tuning=tuning)
-    upper = uniform_band("upper", X1, X0, alpha=half,
-                         config=_bconfig(args, half), grid=lower.grid, tuning=tuning)
-    combined = cdf_band(lower, upper)
+    combined = cdf_band(*bound_bands(X1, X0, alpha=half, config=_bconfig(args, half),
+                                     step=args.grid_step, tuning=tuning))
     if args.format == "csv":
         _write(_band_rows(combined), args.output)
     else:

@@ -26,6 +26,7 @@ from .derivative import (
 from .empirical import Sample, ecdf_build
 from .makarov import (
     MakarovStructure,
+    _scan,
     SupportInfo,
     default_grid,
     lower_bound,
@@ -39,6 +40,7 @@ __all__ = [
     "Band",
     "TestResult",
     "uniform_band",
+    "bound_bands",
     "cdf_band",
     "dominance_test",
     "constant_effect_check",
@@ -119,26 +121,42 @@ def uniform_band(which: str, X1: Sample, X0: Sample, alpha: float = 0.05,
     """
     if which not in ("lower", "upper"):
         raise ValueError(f"band target must be 'lower' or 'upper', got {which!r}")
-    config = replace(config or BootstrapConfig(), alpha=alpha)
-    tuning = tuning or Tuning(n=len(X1) + len(X0))
+    F1, F0 = ecdf_build(X1), ecdf_build(X0)
+    if grid is None:
+        grid = default_grid(support_bounds(X1, X0), step)
+    # centers come from the direct bound evaluation so `bounds` output and
+    # band centers are bit-identical
+    center = (lower_bound if which == "lower" else upper_bound)(F1, F0, grid).values
+    return _band(which, X1, X0, MakarovStructure(F1, F0, grid), center, alpha, config, tuning)
+
+
+def bound_bands(X1: Sample, X0: Sample, alpha: float = 0.05,
+                config: BootstrapConfig | None = None, grid: Grid | None = None,
+                step: float | None = None, tuning: Tuning | None = None) -> tuple[Band, Band]:
+    """The lower and upper ``uniform_band`` at the same level, sharing one
+    candidate structure and one bound scan."""
     F1, F0 = ecdf_build(X1), ecdf_build(X0)
     if grid is None:
         grid = default_grid(support_bounds(X1, X0), step)
     structure = MakarovStructure(F1, F0, grid)
-    obj = structure.objective(which)
-    # centers come from the direct bound evaluation so `bounds` output and
-    # band centers are bit-identical
-    if which == "lower":
-        center = lower_bound(F1, F0, grid).values
-    else:
-        center = upper_bound(F1, F0, grid).values
-    sets = eps_argmax(obj, tuning)
+    lower, upper = np.clip(_scan(F1, F0, grid), 0.0, 1.0)
+    return (_band("lower", X1, X0, structure, lower, alpha, config, tuning),
+            _band("upper", X1, X0, structure, upper, alpha, config, tuning))
+
+
+def _band(which: str, X1: Sample, X0: Sample, structure: MakarovStructure,
+          center: np.ndarray, alpha: float, config: BootstrapConfig | None,
+          tuning: Tuning | None) -> Band:
+    """Bootstrap band around the plug-in bound ``center`` on ``structure``."""
+    config = replace(config or BootstrapConfig(), alpha=alpha)
+    tuning = tuning or Tuning(n=len(X1) + len(X0))
+    sets = eps_argmax(structure.objective(which), tuning)
     sign = 1.0 if which == "lower" else -1.0
     problem = _BandProblem(X1, X0, structure, sets, sign, tuning.r_n)
     run = bootstrap_statistic_distribution(problem, config)
     half = run.critical_value / tuning.r_n
     return Band(
-        grid=grid,
+        grid=structure.grid,
         lo=np.maximum(center - half, 0.0),
         hi=np.minimum(center + half, 1.0),
         center=center,

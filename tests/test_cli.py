@@ -132,6 +132,13 @@ class TestErrors:
         assert r.returncode == 1
         assert "bad.csv:2" in r.stderr
 
+    def test_non_finite_csv_cell_exit_1(self, data, tmp_path):
+        p = tmp_path / "nan.csv"
+        p.write_text("1\n2\nnan\n")
+        r = run("bounds", "--treated", str(p), "--control", data["control"])
+        assert r.returncode == 1
+        assert "nan.csv:3: not a finite number" in r.stderr
+
     def test_usage_error_exit_2(self):
         r = run("bounds")
         assert r.returncode == 2
@@ -154,6 +161,21 @@ class TestErrors:
                 "--grid-step", "1e-9")
         assert r.returncode == 2
         assert "1000000 grid points" in r.stderr and "Traceback" not in r.stderr
+
+    def test_bad_grid_step_exit_2(self, data):
+        for step in ("0", "-0.5", "nan", "inf", "-inf", "fine"):
+            r = run("bounds", "--treated", data["treated"], "--control", data["control"],
+                    f"--grid-step={step}")
+            assert r.returncode == 2, step
+            assert "--grid-step" in r.stderr and "positive finite" in r.stderr, step
+
+    def test_bad_grid_step_env_exit_2(self, data):
+        for step in ("0", "nan", "inf"):
+            r = run("bounds", "--treated", data["treated"], "--control", data["control"],
+                    env_extra={"VFI_GRID_STEP": step})
+            assert r.returncode == 2, step
+            assert "VFI_GRID_STEP" in r.stderr and "positive finite" in r.stderr, step
+            assert "Traceback" not in r.stderr
 
     def test_non_finite_range_exit_1(self, data, tmp_path):
         p = tmp_path / "huge.csv"

@@ -164,6 +164,15 @@ class TestCsvLoading:
         with pytest.raises(CsvParseError, match=r"d\.csv:3"):
             load_sample_csv(p)
 
+    def test_non_finite_cell_reports_line(self, tmp_path):
+        for cell, line in (("nan", 2), ("inf", 3), ("-Infinity", 1)):
+            p = tmp_path / "f.csv"
+            rows = ["1", "2", "4"]
+            rows[line - 1] = cell
+            p.write_text("\n".join(rows) + "\n")
+            with pytest.raises(CsvParseError, match=rf"f\.csv:{line}: not a finite number: '{cell}'"):
+                load_sample_csv(p)
+
     def test_missing_column_name(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("a,b\n1,2\n")

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from vfi import inference, makarov
 from vfi.bootstrap import BootstrapConfig
 from vfi.derivative import Tuning, eps_argmax
 from vfi.empirical import Sample, ecdf_build
 from vfi.inference import (
     Band,
     _BandProblem,
+    bound_bands,
     cdf_band,
     constant_effect_check,
     dominance_test,
@@ -105,6 +107,29 @@ class TestCdfBand:
         _, _, lo_band, hi_band = self.make(8)
         combined = cdf_band(lo_band, hi_band)
         assert np.all(combined.lo <= combined.hi)
+
+    def test_bound_bands_share_one_structure_and_scan(self, monkeypatch):
+        X1, X0, lo_band, hi_band = self.make(10)
+        calls = []
+
+        def counted(fn, name):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(inference, "_scan", counted(makarov._scan, "scan"))
+        monkeypatch.setattr(inference, "MakarovStructure",
+                            counted(MakarovStructure, "structure"))
+        cfg = BootstrapConfig(R=49, seed=10, alpha=0.025)
+        pair = bound_bands(X1, X0, alpha=0.025, config=cfg, step=0.1)
+        assert sorted(calls) == ["scan", "structure"]
+        for got, want in zip(pair, (lo_band, hi_band)):
+            assert got.grid.same_as(want.grid)
+            for field in ("lo", "hi", "center"):
+                assert_array_equal(getattr(got, field), getattr(want, field))
+            assert_array_equal(got.run.replicates, want.run.replicates)
+            assert (got.c_star, got.alpha, got.r_n) == (want.c_star, want.alpha, want.r_n)
 
     def test_alpha_mismatch_rejected(self):
         X1, X0 = normal_samples(9)
