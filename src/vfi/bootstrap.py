@@ -17,6 +17,7 @@ from .empirical import Sample, StepCDF, weighted_ecdf
 __all__ = [
     "BootstrapConfig",
     "BootstrapRun",
+    "derive_seed",
     "stream",
     "draw_weights",
     "resample_ecdf",
@@ -65,13 +66,19 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def stream(seed: int, *ids: int) -> np.random.Generator:
-    """Independent counter-based stream keyed by (seed, *ids)."""
+def derive_seed(seed: int, *ids: int) -> int:
+    """64-bit seed keyed by (seed, *ids) through a splitmix64 chain, so that,
+    unlike an arithmetic key, structured id tuples do not collide."""
     k = _mix(seed & 0xFFFFFFFFFFFFFFFF)
     for i in ids:
         k = _mix(k ^ _mix(i & 0xFFFFFFFFFFFFFFFF))
-    key = (k, _mix(k))
-    return np.random.Generator(np.random.Philox(key=key))
+    return k
+
+
+def stream(seed: int, *ids: int) -> np.random.Generator:
+    """Independent counter-based stream keyed by (seed, *ids)."""
+    k = derive_seed(seed, *ids)
+    return np.random.Generator(np.random.Philox(key=(k, _mix(k))))
 
 
 def draw_weights(n: int, scheme: str, rng: np.random.Generator) -> np.ndarray:

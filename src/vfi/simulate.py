@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, _mix, stream
+from .bootstrap import BootstrapConfig, derive_seed, stream
 from .empirical import Sample
 from .inference import dominance_test, uniform_band
 from .stats import ks_band_stat
@@ -100,9 +100,8 @@ def run_normal_location(config: ExperimentConfig) -> PowerCurve:
         rng = stream(config.seed, 7001, i, m)
         X0 = Sample(rng.normal(0.0, 1.0, n), label="control")
         X1 = Sample(rng.normal(delta / np.sqrt(n), 1.0, n), label="treated")
-        bconf = BootstrapConfig(R=config.R, scheme=config.scheme,
-                                seed=_mix(_mix(config.seed) ^ _mix(7001 * 100_000 + i * 10_000 + m)),
-                                alpha=alpha, threads=1)
+        bconf = BootstrapConfig(R=config.R, scheme=config.scheme, alpha=alpha, threads=1,
+                                seed=derive_seed(config.seed, 7001, i, m))
         band = uniform_band("lower", X1, X0, alpha=alpha, config=bconf, step=config.step())
         L0 = ValueFunction(grid=band.grid, values=_normal_lower_bound(band.grid.points))
         stat = ks_band_stat(ValueFunction(grid=band.grid, values=band.center), L0, band.r_n)
@@ -124,9 +123,8 @@ def run_uniform_dominance(config: ExperimentConfig) -> PowerCurve:
         X0 = Sample(rng.uniform(0.0, 1.0, n), label="control")
         XB = Sample(rng.uniform(0.0, 1.0, n), label="B")
         XA = Sample(rng.uniform(mu, mu + 1.0, n), label="A")
-        bconf = BootstrapConfig(R=config.R, scheme=config.scheme,
-                                seed=_mix(_mix(config.seed) ^ _mix(7002 * 100_000 + i * 10_000 + m)),
-                                alpha=alpha, threads=1)
+        bconf = BootstrapConfig(R=config.R, scheme=config.scheme, alpha=alpha, threads=1,
+                                seed=derive_seed(config.seed, 7002, i, m))
         res = dominance_test(X0, XA, XB, alpha=alpha, config=bconf,
                              step=config.step(), orientation="sufficient")
         return res.reject

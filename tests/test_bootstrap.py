@@ -6,6 +6,7 @@ from vfi.bootstrap import (
     BootstrapConfig,
     bootstrap_statistic_distribution,
     critical_value,
+    derive_seed,
     draw_weights,
     resample_ecdf,
     stream,
@@ -35,6 +36,14 @@ class TestStreams:
         c = stream(8, 1, 3).standard_normal(5)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_derived_seeds_do_not_collide(self):
+        # the arithmetic key 7001 * 100_000 + i * 10_000 + m gave
+        # (i=0, m=10_000) and (i=1, m=0) the same seed
+        assert derive_seed(0, 7001, 0, 10_000) != derive_seed(0, 7001, 1, 0)
+        ids = [(e, i, m) for e in (7001, 7002) for i in range(12)
+               for m in (0, 1, 9_999, 10_000, 10_001)]
+        assert len({derive_seed(3, *key) for key in ids}) == len(ids)
 
 
 class TestWeights:

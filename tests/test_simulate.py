@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from vfi import simulate
+from vfi.bootstrap import derive_seed
 from vfi.simulate import ExperimentConfig, run_normal_location, run_uniform_dominance
 
 
@@ -26,6 +28,24 @@ class TestConfig:
         assert small("normal_location").step() == 0.05
         assert small("uniform_dominance").step() == 0.02
         assert small("normal_location", grid_step=0.5).step() == 0.5
+
+
+class TestSeeds:
+    def test_bootstrap_seeds_are_derived_per_problem(self, monkeypatch):
+        seeds = []
+
+        def recording(real):
+            def wrapper(*args, **kwargs):
+                seeds.append(kwargs["config"].seed)
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(simulate, "uniform_band", recording(simulate.uniform_band))
+        monkeypatch.setattr(simulate, "dominance_test", recording(simulate.dominance_test))
+        run_normal_location(small("normal_location", n=16, R=3, reps=2, deltas=(0.0, 1.0)))
+        run_uniform_dominance(small("uniform_dominance", n=16, R=3, reps=2, deltas=(0.0, 1.0)))
+        assert seeds == [derive_seed(5, e, i, m) for e in (7001, 7002)
+                         for i in range(2) for m in range(2)]
 
 
 class TestNormalLocation:
