@@ -20,10 +20,9 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig
 from .derivative import Tuning
-from .empirical import CsvParseError, load_sample_csv
+from .empirical import CsvParseError, ecdf_build, load_sample_csv
 from .inference import Band, bound_bands, cdf_band, dominance_test, uniform_band
 from .makarov import GridBudgetError, bounds_to_csv, compute_bounds, quantile_bounds
-from .empirical import ecdf_build
 from .simulate import ExperimentConfig, run_normal_location, run_uniform_dominance
 
 SCHEMA_VERSION = 1
@@ -35,23 +34,19 @@ def _env(name: str, cast, fallback):
         return fallback
     try:
         return cast(raw)
-    except argparse.ArgumentTypeError as exc:  # a usage error, as for the flag
+    except (ValueError, argparse.ArgumentTypeError) as exc:  # a usage error, as for a flag
         print(f"vfi: error: VFI_{name}: {exc}", file=sys.stderr)
         raise SystemExit(2)
-    except ValueError:
-        raise SystemExit(f"invalid value for VFI_{name}: {raw!r}")
 
 
 def _grid_step(text: str) -> float:
     """argparse type for a grid step: a positive finite number."""
     try:
-        step = float(text)
+        if 0.0 < float(text) < float("inf"):
+            return float(text)
     except ValueError:
-        step = float("nan")
-    if not 0.0 < step < float("inf"):
-        raise argparse.ArgumentTypeError(
-            f"grid step must be a positive finite number, got {text!r}")
-    return step
+        pass
+    raise argparse.ArgumentTypeError(f"grid step must be a positive finite number, got {text!r}")
 
 
 def _float_list(text: str) -> tuple[float, ...]:

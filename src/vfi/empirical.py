@@ -8,7 +8,6 @@ limits matters more than speed here.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -184,12 +183,11 @@ def load_sample_csv(path, column=None, label: str | None = None) -> Sample:
             raise CsvParseError(f"{path}:{lineno}: missing column {col_idx}")
         cell = row[col_idx].strip()
         try:
-            value = float(cell)
+            values.append(float(cell))
         except ValueError:
             raise CsvParseError(f"{path}:{lineno}: not a number: {cell!r}") from None
-        if not math.isfinite(value):
+        if not np.isfinite(values[-1]):
             raise CsvParseError(f"{path}:{lineno}: not a finite number: {cell!r}")
-        values.append(value)
     if not values:
         raise CsvParseError(f"{path}: no numeric rows")
     return Sample(np.asarray(values), label=label or path.stem)

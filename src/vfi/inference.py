@@ -110,6 +110,15 @@ class _BandProblem:
         return derivative_estimate(self.kind, self.sets, h)
 
 
+def _plugin(X1: Sample, X0: Sample, grid: Grid | None, step: float | None):
+    """Candidate structure and clipped (lower, upper) plug-in bounds, from
+    the scan behind `bounds` output so that band centers match it bit for bit."""
+    F1, F0 = ecdf_build(X1), ecdf_build(X0)
+    if grid is None:
+        grid = default_grid(support_bounds(X1, X0), step)
+    return MakarovStructure(F1, F0, grid), np.clip(_scan(F1, F0, grid), 0.0, 1.0)
+
+
 def uniform_band(which: str, X1: Sample, X0: Sample, alpha: float = 0.05,
                  config: BootstrapConfig | None = None, grid: Grid | None = None,
                  step: float | None = None, tuning: Tuning | None = None) -> Band:
@@ -121,13 +130,9 @@ def uniform_band(which: str, X1: Sample, X0: Sample, alpha: float = 0.05,
     """
     if which not in ("lower", "upper"):
         raise ValueError(f"band target must be 'lower' or 'upper', got {which!r}")
-    F1, F0 = ecdf_build(X1), ecdf_build(X0)
-    if grid is None:
-        grid = default_grid(support_bounds(X1, X0), step)
-    # centers come from the direct bound evaluation so `bounds` output and
-    # band centers are bit-identical
-    center = (lower_bound if which == "lower" else upper_bound)(F1, F0, grid).values
-    return _band(which, X1, X0, MakarovStructure(F1, F0, grid), center, alpha, config, tuning)
+    structure, (lower, upper) = _plugin(X1, X0, grid, step)
+    center = lower if which == "lower" else upper
+    return _band(which, X1, X0, structure, center, alpha, config, tuning)
 
 
 def bound_bands(X1: Sample, X0: Sample, alpha: float = 0.05,
@@ -135,11 +140,7 @@ def bound_bands(X1: Sample, X0: Sample, alpha: float = 0.05,
                 step: float | None = None, tuning: Tuning | None = None) -> tuple[Band, Band]:
     """The lower and upper ``uniform_band`` at the same level, sharing one
     candidate structure and one bound scan."""
-    F1, F0 = ecdf_build(X1), ecdf_build(X0)
-    if grid is None:
-        grid = default_grid(support_bounds(X1, X0), step)
-    structure = MakarovStructure(F1, F0, grid)
-    lower, upper = np.clip(_scan(F1, F0, grid), 0.0, 1.0)
+    structure, (lower, upper) = _plugin(X1, X0, grid, step)
     return (_band("lower", X1, X0, structure, lower, alpha, config, tuning),
             _band("upper", X1, X0, structure, upper, alpha, config, tuning))
 
@@ -186,12 +187,6 @@ def cdf_band(lower_band: Band, upper_band: Band) -> Band:
         c_star=max(lower_band.c_star, upper_band.c_star),
         r_n=lower_band.r_n,
     )
-
-
-def _merge_support(a: SupportInfo, b: SupportInfo) -> SupportInfo:
-    lo = min(a.global_range[0], b.global_range[0])
-    hi = max(a.global_range[1], b.global_range[1])
-    return SupportInfo(lower_support=(lo, hi), upper_support=(lo, hi), global_range=(lo, hi))
 
 
 class _DominanceProblem:
@@ -245,9 +240,9 @@ def dominance_test(X0: Sample, XA: Sample, XB: Sample, alpha: float = 0.05,
     tuning = tuning or Tuning(n=len(X0) + len(XA) + len(XB))
     F0, FA, FB = ecdf_build(X0), ecdf_build(XA), ecdf_build(XB)
     if grid is None:
-        grid = default_grid(
-            _merge_support(support_bounds(XA, X0), support_bounds(XB, X0)), step
-        )
+        lo = min(XA.min, XB.min) - X0.max  # the union of both pairs' ranges
+        hi = max(XA.max, XB.max) - X0.min
+        grid = default_grid(SupportInfo((lo, hi), (lo, hi), (lo, hi)), step)
     if orientation == "necessary":
         orientA, orientB, integrand_sign = "lower", "upper", 1.0
     else:

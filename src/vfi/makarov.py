@@ -1,12 +1,10 @@
 """Makarov dependency bounds for treatment-effect CDFs and quantiles.
 
 The lower/upper bound functions are suprema/infima of a difference of two
-step CDFs.  Because the objective is piecewise constant in u with jumps
-only at sample points, its values are those at the event set {treated
-points} union {control points + x}, taken right-continuously and as left
-limits; the bootstrap structure keeps that whole family.  The plug-in
-bounds need less: the supremum is a left limit and the infimum a right
-value at a shifted control point.  Everything here is exact."""
+step CDFs, piecewise constant in u with jumps only at the event set
+{treated points} union {control points + x}.  The bootstrap structure keeps
+every event's right value and left limit; the plug-in bounds need only the
+left limits (sup) and right values (inf) at shifted control points."""
 
 from __future__ import annotations
 
@@ -57,8 +55,6 @@ class BoundPair:
     lower: ValueFunction
     upper: ValueFunction
     grid: Grid
-    n0: int
-    n1: int
 
 
 def _chunks(grid: Grid, width: int):
@@ -119,32 +115,20 @@ def _row_indices(j1: np.ndarray, j0: np.ndarray, xs: np.ndarray):
 
 
 def _scan(F1: StepCDF, F0: StepCDF, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Per grid x, sup and inf of D_x(u) = F1(u) - F0(u - x): the max of
-    F1-part - F0-part and the min of (1 - F0-part) + F1-part over the
-    candidate family of ``_row_indices``, evaluated only on the candidates
-    that dominate the rest.
+    """Per grid x, the max of F1-part - F0-part and the min of (1 - F0-part)
+    + F1-part over the candidates that dominate the rest of the family.
 
-    In u-space the control jumps sit at row = j0 + x.  D_x is a
-    right-continuous step function that rises only at treated jumps and
-    falls only at shifted control jumps.  From any piece, a walk right
-    through treated-only jumps never lowers D_x until the left limit at a
-    control jump, and a walk left never raises it until the right value at
-    one.  So the max is a left limit c1[#j1 < row[p]] - c0[#row < row[p]]
-    and the min a right value (1 - c0[#row <= row[p]]) + c1[#j1 <= row[p]].
-    The tails need no candidate: right of every control jump D_x ends at
-    c1[-1] - c0[-1] = 0, which the first left limit (F0-part 0) matches or
-    beats, and left of them it starts at 0, upper form 1, which the last
-    right value (F0-part 1) matches or beats.  Inside a tie run of ``row``
-    the scan takes c0[p] and c0[p + 1] in place of the run's start and end.
-    Both combine forms are monotone in each part in floating point, so
-    those values are dominated by the run's start (max) and end (min), and
-    the result is bit-identical to a reduce over the whole family, before
-    any clipping.
-
-    All comparisons happen in u-space, so the scan agrees bit for bit with
-    evaluating the ECDF of the shifted sample X0 + x.  Comparing j1 - x
-    against j0 instead can flip an ordering at rounding scale and pick up a
-    different piece.
+    With the control jumps at row = j0 + x (u-space), D_x(u) = F1(u) -
+    F0(u - x) rises only at treated jumps and falls only at control jumps,
+    so its max is a left limit at a control jump and its min a right value
+    at one; the tails, where D_x is 0, are matched by the first left limit
+    and the last right value.  In a tie run of ``row``, c0[p] and c0[p + 1]
+    stand in for c0 at the run's start and end.  Both combine forms are
+    monotone in each part in floating point, so every dropped value is
+    dominated by a kept one: the result is bit-identical to a reduce over
+    the whole family, and to the ECDF of the shifted sample X0 + x.
+    Comparing j1 - x against j0 instead can flip an ordering at rounding
+    scale and pick up a different piece.
     """
     j1, j0 = F1.jump_points, F0.jump_points
     c1 = np.concatenate(([0.0], F1.cum_probs))
@@ -212,10 +196,6 @@ class MakarovStructure:
             self.i0l[s, :n1], self.i0l[s, n1:] = lt_t, lt_c
         self.c1 = np.concatenate(([0.0], F1.cum_probs))
         self.c0 = np.concatenate(([0.0], F0.cum_probs))
-
-    @property
-    def n_candidates(self) -> int:
-        return 2 * self.i1r.shape[1]
 
     def cell_indices(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Indices into (d1, d0) of the candidates at the given row-major
@@ -335,13 +315,7 @@ def compute_bounds(X1: Sample, X0: Sample, grid: Grid | None = None, step: float
     if grid is None:
         grid = default_grid(support_bounds(X1, X0), step)
     lower, upper = _scan(F1, F0, grid)
-    return BoundPair(
-        lower=_clamped(lower, grid),
-        upper=_clamped(upper, grid),
-        grid=grid,
-        n0=len(X0),
-        n1=len(X1),
-    )
+    return BoundPair(lower=_clamped(lower, grid), upper=_clamped(upper, grid), grid=grid)
 
 
 def bounds_to_csv(pair: BoundPair) -> str:

@@ -35,10 +35,6 @@ class Grid:
     def __len__(self) -> int:
         return self.points.size
 
-    @property
-    def extent(self) -> float:
-        return float(self.points[-1] - self.points[0])
-
     def rect_weights(self) -> np.ndarray:
         """Left-rectangle integration weights; the last point gets ``step``."""
         d = np.diff(self.points)
@@ -106,9 +102,6 @@ class GriddedObjective:
         if self.valid is None:
             return self.values
         return np.where(self.valid, self.values, fill)
-
-    def row_max(self) -> np.ndarray:
-        return self.masked_values(-np.inf).max(axis=1)
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,9 @@ class TestErrors:
             assert r.returncode == 2, step
             assert "VFI_GRID_STEP" in r.stderr and "positive finite" in r.stderr, step
             assert "Traceback" not in r.stderr
+        r = run("bounds", "--treated", data["treated"], "--control", data["control"],
+                env_extra={"VFI_SEED": "seven"})
+        assert r.returncode == 2 and "VFI_SEED" in r.stderr
 
     def test_non_finite_range_exit_1(self, data, tmp_path):
         p = tmp_path / "huge.csv"
