@@ -116,7 +116,8 @@ def _row_indices(j1: np.ndarray, j0: np.ndarray, xs: np.ndarray):
 
 def _scan(F1: StepCDF, F0: StepCDF, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Per grid x, the max of F1-part - F0-part and the min of (1 - F0-part)
-    + F1-part over the candidates that dominate the rest of the family.
+    + F1-part over the candidates that dominate the rest of the family of
+    ``MakarovStructure`` (every event's right value and left limit).
 
     With the control jumps at row = j0 + x (u-space), D_x(u) = F1(u) -
     F0(u - x) rises only at treated jumps and falls only at control jumps,
