@@ -8,6 +8,7 @@ limits matters more than speed here.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -186,7 +187,7 @@ def load_sample_csv(path, column=None, label: str | None = None) -> Sample:
             values.append(float(cell))
         except ValueError:
             raise CsvParseError(f"{path}:{lineno}: not a number: {cell!r}") from None
-        if not np.isfinite(values[-1]):
+        if not math.isfinite(values[-1]):
             raise CsvParseError(f"{path}:{lineno}: not a finite number: {cell!r}")
     if not values:
         raise CsvParseError(f"{path}: no numeric rows")

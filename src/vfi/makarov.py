@@ -136,8 +136,7 @@ def _scan(F1: StepCDF, F0: StepCDF, grid: Grid) -> tuple[np.ndarray, np.ndarray]
     c0 = np.concatenate(([0.0], F0.cum_probs))
     j1_inf = np.append(j1, np.inf)
     after = 1.0 - c0[1:]  # 1 - F0-part just after each control jump
-    lower = np.empty(len(grid))
-    upper = np.empty(len(grid))
+    lower, upper = np.empty((2, len(grid)))
     for s in _chunks(grid, j0.size):
         rows = j0[None, :] + grid.points[s, None]
         idx = np.searchsorted(j1, rows)  # #j1 < row
