@@ -9,7 +9,6 @@ from .makarov import (
     compute_bounds,
     default_grid,
     lower_bound,
-    makarov_objective,
     quantile_bounds,
     support_bounds,
     upper_bound,

@@ -12,15 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import Sample, StepCDF, weighted_ecdf
-
 __all__ = [
     "BootstrapConfig",
     "BootstrapRun",
     "derive_seed",
     "stream",
     "draw_weights",
-    "resample_ecdf",
     "critical_value",
     "bootstrap_statistic_distribution",
 ]
@@ -90,12 +87,6 @@ def draw_weights(n: int, scheme: str, rng: np.random.Generator) -> np.ndarray:
         e = rng.standard_exponential(n)
         return e * (n / e.sum())
     raise ValueError(f"unknown weight scheme {scheme!r}")
-
-
-def resample_ecdf(sample: Sample, weights: np.ndarray) -> StepCDF:
-    if len(weights) != len(sample):
-        raise ValueError("weights length must match sample size")
-    return weighted_ecdf(sample.values, weights)
 
 
 def critical_value(replicates: np.ndarray, alpha: float) -> float:

@@ -6,7 +6,8 @@ Outputs are CSV or JSON with shortest-roundtrip float formatting so that a
 fixed seed reproduces byte-identical files, independent of --threads.
 
 Configuration precedence: command-line flags, then VFI_* environment
-variables, then built-in defaults.
+variables, then built-in defaults.  A VFI_* variable is read only when the
+chosen subcommand has its option.
 """
 
 from __future__ import annotations
@@ -82,19 +83,38 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+# Options that a VFI_* variable can set, by argparse dest: (variable name
+# after VFI_, type, built-in default).  Their flags default to None, and
+# ``_apply_env`` fills those the chosen subcommand has and no flag set.
+_ENV_OPTIONS = {
+    "grid_step": ("GRID_STEP", _grid_step, None),
+    "alpha": ("ALPHA", float, 0.05),
+    "R": ("R", int, 199),
+    "seed": ("SEED", int, 0),
+    "scheme": ("SCHEME", str, "multinomial"),
+    "threads": ("THREADS", int, os.cpu_count() or 1),
+    "an_const": ("AN_CONST", float, 0.2),
+    "bn_const": ("BN_CONST", float, 3.0),
+}
+
+
+def _apply_env(args):
+    for dest, (name, cast, fallback) in _ENV_OPTIONS.items():
+        if dest in vars(args) and getattr(args, dest) is None:
+            setattr(args, dest, _env(name, cast, fallback))
+
+
 def _add_common(p, with_bootstrap: bool):
-    p.add_argument("--grid-step", type=_grid_step, default=_env("GRID_STEP", _grid_step, None))
+    p.add_argument("--grid-step", type=_grid_step)
     p.add_argument("--output", default=None, help="output path (default: stdout)")
     if with_bootstrap:
-        p.add_argument("--alpha", type=float, default=_env("ALPHA", float, 0.05))
-        p.add_argument("--R", type=int, default=_env("R", int, 199))
-        p.add_argument("--seed", type=int, default=_env("SEED", int, 0))
-        p.add_argument("--scheme", choices=("multinomial", "bayesian"),
-                       default=_env("SCHEME", str, "multinomial"))
-        p.add_argument("--threads", type=int,
-                       default=_env("THREADS", int, os.cpu_count() or 1))
-        p.add_argument("--an-const", type=float, default=_env("AN_CONST", float, 0.2))
-        p.add_argument("--bn-const", type=float, default=_env("BN_CONST", float, 3.0))
+        p.add_argument("--alpha", type=float)
+        p.add_argument("--R", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--scheme", choices=("multinomial", "bayesian"))
+        p.add_argument("--threads", type=int)
+        p.add_argument("--an-const", type=float)
+        p.add_argument("--bn-const", type=float)
         p.add_argument("--dump-replicates", default=None, metavar="PATH")
 
 
@@ -296,7 +316,8 @@ def run_cli(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse uses exit code 2 for usage errors
+        _apply_env(args)
+    except SystemExit as exc:  # argparse and _env use exit code 2 for usage errors
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)

@@ -92,11 +92,11 @@ class ArgmaxSets:
 
 
 def eps_argmax(f: GriddedObjective, tuning: Tuning) -> ArgmaxSets:
+    row_max = psi(f).values
     vals = f.masked_values(-np.inf)
-    row_max = vals.max(axis=1, keepdims=True)
-    per_x = vals >= row_max - tuning.a_n
-    joint = vals >= vals.max() - tuning.a_n
-    contact = np.abs(psi(f).values) <= tuning.b_n
+    per_x = vals >= (row_max - tuning.a_n)[:, None]
+    joint = vals >= row_max.max() - tuning.a_n
+    contact = np.abs(row_max) <= tuning.b_n
     fallback = not contact.any()
     if fallback:
         contact = np.ones(len(f.grid), dtype=bool)

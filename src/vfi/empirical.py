@@ -143,6 +143,14 @@ def weighted_ecdf(values: np.ndarray, weights: np.ndarray) -> StepCDF:
     return StepCDF(jump_points=uniq[keep], cum_probs=cum, n=float(total))
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 class CsvParseError(ValueError):
     """Malformed CSV input; message carries the offending line number."""
 
@@ -151,7 +159,10 @@ def load_sample_csv(path, column=None, label: str | None = None) -> Sample:
     """Read one numeric column from a CSV file into a Sample.
 
     ``column`` selects by header name or zero-based index; defaults to the
-    first column.  A non-numeric first row is treated as a header.
+    first column.  A string names a header cell when the first row has a
+    non-numeric cell and holds that name; otherwise a string of digits is
+    an index.  With an index, the first row is a header when its cell in
+    that column is not a number.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -161,21 +172,20 @@ def load_sample_csv(path, column=None, label: str | None = None) -> Sample:
         raise CsvParseError(f"{path}: no data rows")
 
     col_idx = 0
-    header = None
-    first_line, first = rows[0]
-    if isinstance(column, str):
-        header = [c.strip() for c in first]
-        if column not in header:
-            raise CsvParseError(f"{path}: column {column!r} not found in header")
-        col_idx = header.index(column)
+    names = [c.strip() for c in rows[0][1]]
+    if isinstance(column, str) and column in names and not all(map(_is_number, names)):
+        col_idx = names.index(column)
         rows = rows[1:]
     else:
+        if isinstance(column, str):
+            if not (column.isascii() and column.isdigit()):
+                raise CsvParseError(f"{path}: column {column!r} not found in header")
+            column = int(column)
         if column is not None:
             col_idx = int(column)
         try:
-            float(first[col_idx])
+            float(names[col_idx])
         except (ValueError, IndexError):
-            header = first
             rows = rows[1:]
 
     values = []

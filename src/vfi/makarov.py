@@ -4,7 +4,9 @@ The lower/upper bound functions are suprema/infima of a difference of two
 step CDFs, piecewise constant in u with jumps only at the event set
 {treated points} union {control points + x}.  The bootstrap structure keeps
 every event's right value and left limit; the plug-in bounds need only the
-left limits (sup) and right values (inf) at shifted control points."""
+left limits (sup) and right values (inf) at shifted control points.  Both
+read where the shifted control points fall among the treated points from
+one rank primitive, ``_ranks``."""
 
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ __all__ = [
     "quantile_bounds",
     "support_bounds",
     "default_grid",
-    "makarov_objective",
     "compute_bounds",
     "bounds_to_csv",
     "bounds_from_csv",
@@ -64,60 +65,21 @@ def _chunks(grid: Grid, width: int):
         yield slice(s, s + rows)
 
 
-def _row_indices(j1: np.ndarray, j0: np.ndarray, xs: np.ndarray):
-    """Candidate indices at the grid rows xs, compared in u-space where the
-    control jumps sit at row = j0 + x.  Returns six (len(xs), .) arrays:
-
-        #row <= j1,  #row < j1     (per treated jump)
-        #row <= row, #row < row    (per shifted control jump)
-        #j1 <= row,  #j1 < row     (per shifted control jump)
-
-    Only the first costs a searchsorted per row; the rest follow from it in
-    linear time.  ``row`` is non-decreasing because j0 is increasing and
-    rounding is monotone, so its ties come only from rounding in the shift.
-    """
-    m, n0 = xs.size, j0.size
-    rows = j0[None, :] + xs[:, None]
-    le_t = np.empty((m, j1.size), dtype=np.intp)
-    for r in range(m):
-        le_t[r] = np.searchsorted(rows[r], j1, side="right")
-    # runs of equal values in each row: #row < row is the start of the run,
-    # #row <= row its end (found from the right, on the reversed row)
-    pos = np.arange(n0)
-    starts = np.ones((m, n0), dtype=bool)
-    np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
-    lt_c = np.where(starts, pos, 0)
-    np.maximum.accumulate(lt_c, axis=1, out=lt_c)
-    ends = np.ones((m, n0), dtype=bool)
-    ends[:, :-1] = starts[:, 1:]
-    le_c = np.where(ends[:, ::-1], n0 - pos, n0)
-    np.minimum.accumulate(le_c, axis=1, out=le_c)
-    le_c = le_c[:, ::-1]
-    # #row < j1: drop the tie run that ends at #row <= j1 (``last`` is the
-    # flat position of that run's last element; where #row <= j1 is 0 it
-    # points at row[0] > j1, which is no tie)
-    last = le_t - 1
-    np.maximum(last, 0, out=last)
-    last += n0 * np.arange(m)[:, None]
-    tie = rows.ravel()[last] == j1
-    lt_t = le_t.copy()
-    lt_t[tie] = lt_c.ravel()[last[tie]]
-    # j1[k] < row[p] iff #row <= j1[k] is at most p, and j1[k] <= row[p] iff
-    # #row < j1[k] is at most p: count both per p
-    off = (n0 + 1) * np.arange(m)[:, None]
-
-    def at_most(idx):
-        hist = np.bincount((idx + off).ravel(), minlength=m * (n0 + 1))
-        counts = hist.reshape(m, n0 + 1)[:, :n0]
-        return np.cumsum(counts, axis=1, out=counts)
-
-    return le_t, lt_t, le_c, lt_c, at_most(lt_t), at_most(le_t)
+def _ranks(j1: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """#j1 < row and #j1 <= row for every entry of ``rows``: one
+    searchsorted, then a tie test, since j1 is strictly increasing and so
+    holds at most one value equal to a row entry, at position #j1 < row.
+    Where that position is past the end, every j1 is below the row, so the
+    clipped take finds no tie."""
+    lt = np.searchsorted(j1, rows)
+    return lt, lt + (j1.take(lt, mode="clip") == rows)
 
 
 def _scan(F1: StepCDF, F0: StepCDF, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Per grid x, the max of F1-part - F0-part and the min of (1 - F0-part)
     + F1-part over the candidates that dominate the rest of the family of
-    ``MakarovStructure`` (every event's right value and left limit).
+    ``MakarovStructure`` (every event's right value and left limit), read
+    through the same ``_ranks``.
 
     With the control jumps at row = j0 + x (u-space), D_x(u) = F1(u) -
     F0(u - x) rises only at treated jumps and falls only at control jumps,
@@ -134,15 +96,12 @@ def _scan(F1: StepCDF, F0: StepCDF, grid: Grid) -> tuple[np.ndarray, np.ndarray]
     j1, j0 = F1.jump_points, F0.jump_points
     c1 = np.concatenate(([0.0], F1.cum_probs))
     c0 = np.concatenate(([0.0], F0.cum_probs))
-    j1_inf = np.append(j1, np.inf)
     after = 1.0 - c0[1:]  # 1 - F0-part just after each control jump
     lower, upper = np.empty((2, len(grid)))
     for s in _chunks(grid, j0.size):
-        rows = j0[None, :] + grid.points[s, None]
-        idx = np.searchsorted(j1, rows)  # #j1 < row
-        lower[s] = (c1[idx] - c0[:-1]).max(axis=1)
-        idx += j1_inf[idx] == rows  # #j1 <= row
-        upper[s] = (after + c1[idx]).min(axis=1)
+        lt, le = _ranks(j1, j0[None, :] + grid.points[s, None])
+        lower[s] = (c1[lt] - c0[:-1]).max(axis=1)
+        upper[s] = (after + c1[le]).min(axis=1)
     return lower, upper
 
 
@@ -170,74 +129,85 @@ class MakarovStructure:
     """Fixed candidate structure for the objective Pi(F)(u, x) = F1(u) - F0(u - x).
 
     Candidates for each grid x are the event points {F1 jumps} union
-    {F0 jumps + x}, each taken right-continuously and as a left limit
-    (columns [0, M) and [M, 2M)).  Because bootstrap directions jump at the
-    same event points, the structure evaluates any reweighting of the same
-    observations exactly via the candidate indices the bound scan uses.
+    {F0 jumps + x}, each taken right-continuously and as a left limit.  The
+    structure holds one index pair per candidate in the objective's column
+    order (right values of [treated | control], then their left limits):
+    ``ia`` indexes the F1 cumulative array and ``ib`` the F0 one, so the
+    candidate's value is c1[ia] - c0[ib].  Bootstrap directions jump at the
+    same event points, so any reweighting of the same observations is
+    evaluated exactly through the same index pairs.
     """
 
     def __init__(self, F1: StepCDF, F0: StepCDF, grid: Grid):
         self.F1, self.F0, self.grid = F1, F0, grid
         j1, j0 = F1.jump_points, F0.jump_points
-        n1 = j1.size
-        shape = (len(grid), n1 + j0.size)
-        self.i1r = np.empty(shape, dtype=np.intp)
-        self.i1l = np.empty(shape, dtype=np.intp)
-        self.i0r = np.empty(shape, dtype=np.intp)
-        self.i0l = np.empty(shape, dtype=np.intp)
+        n1, n0 = j1.size, j0.size
+        M = n1 + n0
+        self.ia = np.empty((len(grid), 2 * M), dtype=np.intp)
+        self.ib = np.empty_like(self.ia)
         # treated candidate i: #j1 <= j1[i] is i + 1 and #j1 < j1[i] is i
-        self.i1r[:, :n1] = np.arange(1, n1 + 1)
-        self.i1l[:, :n1] = np.arange(n1)
-        for s in _chunks(grid, shape[1]):
-            le_t, lt_t, le_c, lt_c, le_j, lt_j = _row_indices(j1, j0, grid.points[s])
-            self.i1r[s, n1:] = le_j
-            self.i1l[s, n1:] = lt_j
-            self.i0r[s, :n1], self.i0r[s, n1:] = le_t, le_c
-            self.i0l[s, :n1], self.i0l[s, n1:] = lt_t, lt_c
+        self.ia[:, :n1] = np.arange(1, n1 + 1)
+        self.ia[:, M:M + n1] = np.arange(n1)
+        pos = np.arange(n0)
+        for s in _chunks(grid, M):
+            # compared in u-space, where the control jumps sit at row = j0 + x;
+            # row is non-decreasing (j0 is increasing and rounding monotone),
+            # so its ties come only from rounding in the shift
+            rows = j0[None, :] + grid.points[s, None]
+            m = rows.shape[0]
+            lt_j, le_j = _ranks(j1, rows)
+            self.ia[s, n1:M], self.ia[s, M + n1:] = le_j, lt_j
+            # runs of equal values in each row: #row < row is the start of
+            # the run, #row <= row its end (found from the right)
+            starts = np.ones((m, n0), dtype=bool)
+            np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
+            lt_c = np.where(starts, pos, 0)
+            np.maximum.accumulate(lt_c, axis=1, out=self.ib[s, M + n1:])
+            ends = np.ones((m, n0), dtype=bool)
+            ends[:, :-1] = starts[:, 1:]
+            le_c = np.where(ends[:, ::-1], n0 - pos, n0)
+            np.minimum.accumulate(le_c, axis=1, out=le_c)
+            self.ib[s, n1:M] = le_c[:, ::-1]
+            # row[p] <= j1[i] iff #j1 < row[p] is at most i, and row[p] <
+            # j1[i] iff #j1 <= row[p] is at most i: so #row <= j1[i] and
+            # #row < j1[i] are cumulative counts of the two control ranks
+            off = (n1 + 1) * np.arange(m)[:, None]
+            for rank, col in ((lt_j, 0), (le_j, M)):
+                hist = np.bincount((rank + off).ravel(), minlength=m * (n1 + 1))
+                np.cumsum(hist.reshape(m, n1 + 1)[:, :n1], axis=1,
+                          out=self.ib[s, col:col + n1])
         self.c1 = np.concatenate(([0.0], F1.cum_probs))
         self.c0 = np.concatenate(([0.0], F0.cum_probs))
 
     def cell_indices(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Indices into (d1, d0) of the candidates at the given row-major
-        flat positions of the K x 2M candidate matrix, for ``evaluate``."""
-        M = self.i1r.shape[1]
-        k, c = np.divmod(flat, 2 * M)
-        right = c < M
-        c = np.where(right, c, c - M)
-        ia = np.where(right, self.i1r[k, c], self.i1l[k, c])
-        ib = np.where(right, self.i0r[k, c], self.i0l[k, c])
-        return ia, ib
+        """Index pairs into (d1, d0) of the candidates at the given
+        row-major flat positions of the K x 2M candidate matrix, for
+        ``evaluate``."""
+        return np.take(self.ia, flat), np.take(self.ib, flat)
 
     def evaluate(self, d1: np.ndarray, d0: np.ndarray, cells=None) -> np.ndarray:
-        """g1(u) - g0(u - x) over all candidates, for step functions with
-        the same jump points as (F1, F0) and cumulative arrays d1, d0
-        (leading zero included).  With ``cells`` from ``cell_indices``,
-        only at those candidates, as a flat array in the same order."""
-        if cells is not None:
-            ia, ib = cells
-            return d1[ia] - d0[ib]
-        right = d1[self.i1r] - d0[self.i0r]
-        left = d1[self.i1l] - d0[self.i0l]
-        return np.concatenate((right, left), axis=1)
+        """g1(u) - g0(u - x) over all candidates (K x 2M), for step
+        functions with the same jump points as (F1, F0) and cumulative
+        arrays d1, d0 (leading zero included).  With ``cells`` from
+        ``cell_indices``, only at those candidates, as a flat array in the
+        same order."""
+        ia, ib = (self.ia, self.ib) if cells is None else cells
+        out = d1[ia]
+        out -= d0[ib]
+        return out
 
     def base_values(self, cells=None) -> np.ndarray:
         return self.evaluate(self.c1, self.c0, cells)
 
     def objective(self, orientation: str = "lower") -> GriddedObjective:
-        sign = 1.0 if orientation == "lower" else -1.0
+        """Event-point candidate objective; psi of it recovers the bound:
+        lower_bound = psi(.) and upper_bound = 1 - psi(.) for 'upper'."""
         if orientation not in ("lower", "upper"):
             raise ValueError(f"unknown orientation {orientation!r}")
-        return GriddedObjective(
-            grid=self.grid,
-            values=sign * self.base_values(),
-            tag="makarov-lower" if sign > 0 else "makarov-upper-negated",
-        )
-
-
-def makarov_objective(F1: StepCDF, F0: StepCDF, grid: Grid, orientation: str = "lower") -> GriddedObjective:
-    """Event-point candidate objective; psi of it recovers the bound:
-    lower_bound = psi(.) and upper_bound = 1 - psi(.) for orientation 'upper'."""
-    return MakarovStructure(F1, F0, grid).objective(orientation)
+        values = self.base_values()
+        if orientation == "upper":
+            np.negative(values, out=values)
+        return GriddedObjective(grid=self.grid, values=values)
 
 
 def quantile_bounds(F1: StepCDF, F0: StepCDF, taus) -> tuple[np.ndarray, np.ndarray]:

@@ -32,7 +32,6 @@ class StatKind:
 class StatValue:
     value: float
     kind: StatKind
-    scaled: bool = False  # True once r_n has been applied
 
     def __post_init__(self):
         if not (self.value >= 0):
@@ -62,7 +61,7 @@ def ks_band_stat(Lhat: ValueFunction, L0: ValueFunction, r_n: float) -> StatValu
     if not Lhat.grid.same_as(L0.grid):
         raise ValueError("value functions live on different grids")
     val = r_n * float(np.max(np.abs(Lhat.values - L0.values)))
-    return StatValue(value=val, kind=StatKind(j=1), scaled=True)
+    return StatValue(value=val, kind=StatKind(j=1))
 
 
 def dominance_stat(LA: ValueFunction, UB: ValueFunction, r_n: float) -> StatValue:
@@ -75,4 +74,4 @@ def dominance_stat(LA: ValueFunction, UB: ValueFunction, r_n: float) -> StatValu
         raise ValueError("value functions live on different grids")
     gap = np.maximum(LA.values - UB.values, 0.0)
     val = r_n * _lp(gap, LA.grid.rect_weights(), 2.0)
-    return StatValue(value=val, kind=StatKind(j=4, p=2.0), scaled=True)
+    return StatValue(value=val, kind=StatKind(j=4, p=2.0))

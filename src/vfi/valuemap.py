@@ -60,7 +60,6 @@ class GriddedObjective:
     values: np.ndarray
     u: np.ndarray | None = None
     valid: np.ndarray | None = None
-    tag: str = "user"
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -79,7 +78,7 @@ class GriddedObjective:
             raise ValueError("candidate values must be finite")
 
     @classmethod
-    def from_candidates(cls, grid: Grid, candidates, tag: str = "user") -> "GriddedObjective":
+    def from_candidates(cls, grid: Grid, candidates) -> "GriddedObjective":
         """Build from a per-grid-point list of (u, value) pairs (ragged)."""
         if len(candidates) != len(grid):
             raise ValueError("need one candidate list per grid point")
@@ -96,7 +95,7 @@ class GriddedObjective:
                 values[k, c] = val
                 valid[k, c] = True
         values[~valid] = 0.0  # placeholder, masked out
-        return cls(grid=grid, values=values, u=us, valid=valid, tag=tag)
+        return cls(grid=grid, values=values, u=us, valid=valid)
 
     def masked_values(self, fill: float) -> np.ndarray:
         if self.valid is None:
@@ -106,11 +105,10 @@ class GriddedObjective:
 
 @dataclass(frozen=True)
 class ValueFunction:
-    """psi(f) sampled on a grid, with an argmax witness per grid point."""
+    """psi(f) sampled on a grid."""
 
     grid: Grid
     values: np.ndarray
-    argmax_witness: np.ndarray | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -124,13 +122,9 @@ def psi(f: GriddedObjective) -> ValueFunction:
     if f.valid is not None and not f.valid.any(axis=1).all():
         k = int(np.flatnonzero(~f.valid.any(axis=1))[0])
         raise ValueError(f"empty candidate set at grid point x={float(f.grid.points[k])!r}")
-    vals = f.masked_values(-np.inf)
-    witness = vals.argmax(axis=1)
-    return ValueFunction(grid=f.grid, values=vals.max(axis=1), argmax_witness=witness)
+    return ValueFunction(grid=f.grid, values=f.masked_values(-np.inf).max(axis=1))
 
 
 def negate(f: GriddedObjective) -> GriddedObjective:
     """Pointwise negation of candidate values; inf f = -psi(negate(f))."""
-    return GriddedObjective(
-        grid=f.grid, values=-f.values, u=f.u, valid=f.valid, tag=f.tag
-    )
+    return GriddedObjective(grid=f.grid, values=-f.values, u=f.u, valid=f.valid)

@@ -8,10 +8,9 @@ from vfi.bootstrap import (
     critical_value,
     derive_seed,
     draw_weights,
-    resample_ecdf,
     stream,
 )
-from vfi.empirical import Sample, ecdf_build
+from vfi.empirical import Sample, ecdf_build, weighted_ecdf
 
 
 class TestConfig:
@@ -71,14 +70,14 @@ class TestWeights:
 class TestResample:
     def test_identity_weights(self):
         s = Sample(np.array([3.0, 1.0, 1.0, 5.0]))
-        F = resample_ecdf(s, np.ones(4))
+        F = weighted_ecdf(s.values, np.ones(4))
         G = ecdf_build(s)
         assert_array_equal(F.jump_points, G.jump_points)
         assert_allclose(F.cum_probs, G.cum_probs)
 
     def test_degenerate_weights(self):
         s = Sample(np.array([3.0, 1.0, 5.0]))
-        F = resample_ecdf(s, np.array([0.0, 3.0, 0.0]))
+        F = weighted_ecdf(s.values, np.array([0.0, 3.0, 0.0]))
         assert_array_equal(F.jump_points, [1.0])
 
     def test_mass_one(self):
@@ -86,12 +85,12 @@ class TestResample:
         for _ in range(20):
             s = Sample(rng.normal(0, 1, 17))
             w = draw_weights(17, "bayesian", rng)
-            F = resample_ecdf(s, w)
+            F = weighted_ecdf(s.values, w)
             assert F.cum_probs[-1] == 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            resample_ecdf(Sample(np.array([1.0])), np.ones(2))
+            weighted_ecdf(np.array([1.0]), np.ones(2))
 
 
 class TestCriticalValue:

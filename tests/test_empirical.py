@@ -179,6 +179,31 @@ class TestCsvLoading:
         with pytest.raises(CsvParseError, match="not found"):
             load_sample_csv(p, column="z")
 
+    def test_index_string_on_headerless_file(self, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text("1,10\n2,20\n3,30\n")
+        assert_array_equal(load_sample_csv(p, column="1").values, [10.0, 20.0, 30.0])
+        assert_array_equal(load_sample_csv(p, column=1).values, [10.0, 20.0, 30.0])
+
+    def test_index_string_on_headed_file(self, tmp_path):
+        p = tmp_path / "h.csv"
+        p.write_text("y,earnings\n0,100\n1,250.5\n")
+        assert_array_equal(load_sample_csv(p, column="1").values, [100.0, 250.5])
+        assert_array_equal(load_sample_csv(p, column="0").values, [0.0, 1.0])
+
+    def test_header_name_beats_index(self, tmp_path):
+        p = tmp_path / "i.csv"
+        p.write_text("1,x\n5,7\n6,8\n")
+        assert_array_equal(load_sample_csv(p, column="1").values, [5.0, 6.0])
+        assert_array_equal(load_sample_csv(p, column="x").values, [7.0, 8.0])
+
+    def test_non_index_string_not_in_header(self, tmp_path):
+        p = tmp_path / "j.csv"
+        p.write_text("1,10\n2,20\n")
+        for column in ("-1", "1.0", "z"):
+            with pytest.raises(CsvParseError, match="not found"):
+                load_sample_csv(p, column=column)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_sample_csv(tmp_path / "nope.csv")

@@ -38,7 +38,6 @@ class TestPsi:
         f = GriddedObjective(grid=g, values=np.array([[1.0, 3.0], [0.0, -1.0], [2.0, 2.0]]))
         v = psi(f)
         assert_array_equal(v.values, [3.0, 0.0, 2.0])
-        assert_array_equal(v.argmax_witness, [1, 0, 0])
 
     def test_ragged_candidates(self):
         g = Grid(points=np.array([0.0, 1.0]), step=1.0)
