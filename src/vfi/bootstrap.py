@@ -72,10 +72,21 @@ def derive_seed(seed: int, *ids: int) -> int:
     return k
 
 
+def _key(k: int) -> np.ndarray:
+    """The two Philox key words of the stream with 64-bit seed k: (k, _mix(k)),
+    except that when exactly one word is at least 2**63 both are rounded to
+    float64 first (53 significant bits; a word rounding to 2**64 wraps to 0).
+    That is what numpy's type inference made of the tuple of Python ints
+    the streams were keyed with, and every recorded replicate depends on it."""
+    words = (k, _mix(k))
+    if (words[0] >> 63) + (words[1] >> 63) == 1:
+        words = tuple(int(float(w)) % 2**64 for w in words)
+    return np.array(words, dtype=np.uint64)
+
+
 def stream(seed: int, *ids: int) -> np.random.Generator:
     """Independent counter-based stream keyed by (seed, *ids)."""
-    k = derive_seed(seed, *ids)
-    return np.random.Generator(np.random.Philox(key=(k, _mix(k))))
+    return np.random.Generator(np.random.Philox(key=_key(derive_seed(seed, *ids))))
 
 
 def draw_weights(n: int, scheme: str, rng: np.random.Generator) -> np.ndarray:

@@ -23,7 +23,13 @@ from .bootstrap import BootstrapConfig
 from .derivative import Tuning
 from .empirical import CsvParseError, ecdf_build, load_sample_csv
 from .inference import Band, bound_bands, cdf_band, dominance_test, uniform_band
-from .makarov import GridBudgetError, bounds_to_csv, compute_bounds, quantile_bounds
+from .makarov import (
+    ArgmaxBudgetError,
+    GridBudgetError,
+    bounds_to_csv,
+    compute_bounds,
+    quantile_bounds,
+)
 from .simulate import ExperimentConfig, run_normal_location, run_uniform_dominance
 
 SCHEMA_VERSION = 1
@@ -40,14 +46,34 @@ def _env(name: str, cast, fallback):
         raise SystemExit(2)
 
 
-def _grid_step(text: str) -> float:
-    """argparse type for a grid step: a positive finite number."""
-    try:
-        if 0.0 < float(text) < float("inf"):
-            return float(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"grid step must be a positive finite number, got {text!r}")
+# Both thread pools start up to min(threads, work items) threads.
+MAX_THREADS = 4 * (os.cpu_count() or 1)
+
+
+def _checked(cast, ok, what: str):
+    """argparse type: ``cast`` the text and require ``ok`` of the value;
+    a failure is a usage error."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{what}, got {text!r}")
+        return value
+    return parse
+
+
+def _positive_finite(v: float) -> bool:
+    return 0.0 < v < float("inf")
+
+
+_grid_step = _checked(float, _positive_finite, "grid step must be a positive finite number")
+_alpha = _checked(float, lambda v: 0.0 < v < 1.0, "alpha must lie in (0, 1)")
+_replicates = _checked(int, lambda v: v >= 1, "replicate count must be at least 1")
+_threads = _checked(int, lambda v: 1 <= v <= MAX_THREADS,
+                    f"thread count must lie in 1..{MAX_THREADS} (4 per CPU)")
+_tuning_const = _checked(float, _positive_finite, "tuning constant must be a positive finite number")
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -88,13 +114,13 @@ def _json_dumps(obj) -> str:
 # ``_apply_env`` fills those the chosen subcommand has and no flag set.
 _ENV_OPTIONS = {
     "grid_step": ("GRID_STEP", _grid_step, None),
-    "alpha": ("ALPHA", float, 0.05),
-    "R": ("R", int, 199),
+    "alpha": ("ALPHA", _alpha, 0.05),
+    "R": ("R", _replicates, 199),
     "seed": ("SEED", int, 0),
     "scheme": ("SCHEME", str, "multinomial"),
-    "threads": ("THREADS", int, os.cpu_count() or 1),
-    "an_const": ("AN_CONST", float, 0.2),
-    "bn_const": ("BN_CONST", float, 3.0),
+    "threads": ("THREADS", _threads, os.cpu_count() or 1),
+    "an_const": ("AN_CONST", _tuning_const, 0.2),
+    "bn_const": ("BN_CONST", _tuning_const, 3.0),
 }
 
 
@@ -108,13 +134,13 @@ def _add_common(p, with_bootstrap: bool):
     p.add_argument("--grid-step", type=_grid_step)
     p.add_argument("--output", default=None, help="output path (default: stdout)")
     if with_bootstrap:
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--R", type=int)
+        p.add_argument("--alpha", type=_alpha)
+        p.add_argument("--R", type=_replicates)
         p.add_argument("--seed", type=int)
         p.add_argument("--scheme", choices=("multinomial", "bayesian"))
-        p.add_argument("--threads", type=int)
-        p.add_argument("--an-const", type=float)
-        p.add_argument("--bn-const", type=float)
+        p.add_argument("--threads", type=_threads)
+        p.add_argument("--an-const", type=_tuning_const)
+        p.add_argument("--bn-const", type=_tuning_const)
         p.add_argument("--dump-replicates", default=None, metavar="PATH")
 
 
@@ -324,7 +350,7 @@ def run_cli(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 1
-    except GridBudgetError as exc:  # a --grid-step too fine is a usage error
+    except (GridBudgetError, ArgmaxBudgetError) as exc:  # a flag value past a limit
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CsvParseError, ValueError) as exc:

@@ -9,12 +9,12 @@ function is within b_n of zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .stats import StatKind
-from .valuemap import Grid, GriddedObjective, psi
+from .valuemap import Grid, GriddedObjective, NearArgmax
 
 __all__ = [
     "Tuning",
@@ -57,51 +57,60 @@ class Tuning:
 
 @dataclass(frozen=True)
 class ArgmaxSets:
-    """Estimated argmax structure of an objective, as boolean masks.
+    """Estimated argmax structure of an objective on a (n_grid, width)
+    candidate matrix, held as its per-x cells.
 
-    per_x[k, c]: candidate c is within a_n of the row maximum at grid k.
-    joint[k, c]: within a_n of the global maximum; a subset of per_x.
+    cells: row-major flat indices of the per-x eps-argmax cells, those
+    within a_n of their row maximum; starts[k] is the position of row k's
+    first cell in it.  The derivative estimators read a direction only there.
+    joint: mask over ``cells`` of those within a_n of the global maximum,
+    which lie inside the per-x sets.
     contact[k]: |value function| <= b_n, with an all-True fallback when the
     threshold captures nothing.
-
-    The per-x cells are also kept as a list: ``cells`` holds their
-    row-major flat indices and ``starts[k]`` the position of row k's first
-    cell in it.  The derivative estimators read a direction only there.
     """
 
     grid: Grid
-    per_x: np.ndarray
+    width: int
+    cells: np.ndarray
+    starts: np.ndarray
     joint: np.ndarray
     contact: np.ndarray
     contact_fallback: bool = False
-    cells: np.ndarray = field(init=False, repr=False, compare=False)
-    starts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        counts = self.per_x.sum(axis=1)
-        if not counts.all():
+        ends = np.append(self.starts[1:], self.cells.size)
+        if self.starts.shape != (len(self.grid),) or np.any(ends <= self.starts):
             raise ValueError("per-x argmax sets must be nonempty")
+        if self.joint.shape != self.cells.shape:
+            raise ValueError("joint argmax set must be a mask over the per-x cells")
         if not self.joint.any():
             raise ValueError("joint argmax set must be nonempty")
-        if np.any(self.joint & ~self.per_x):
-            raise ValueError("joint argmax set must lie inside the per-x sets")
         if not self.contact.any():
             raise ValueError("contact set must be nonempty after fallback")
-        object.__setattr__(self, "cells", np.flatnonzero(self.per_x))
-        object.__setattr__(self, "starts", np.concatenate(([0], np.cumsum(counts)[:-1])))
+
+    @property
+    def per_x(self) -> np.ndarray:
+        """Dense (n_grid, width) mask of the per-x cells."""
+        mask = np.zeros(len(self.grid) * self.width, dtype=bool)
+        mask[self.cells] = True
+        return mask.reshape(len(self.grid), self.width)
 
 
-def eps_argmax(f: GriddedObjective, tuning: Tuning) -> ArgmaxSets:
-    row_max = psi(f).values
-    vals = f.masked_values(-np.inf)
-    per_x = vals >= (row_max - tuning.a_n)[:, None]
-    joint = vals >= row_max.max() - tuning.a_n
-    contact = np.abs(row_max) <= tuning.b_n
+def eps_argmax(f, tuning: Tuning) -> ArgmaxSets:
+    """Argmax sets of ``f``: a dense ``GriddedObjective``, or the
+    ``NearArgmax`` cells a candidate structure kept with slack a_n."""
+    near = NearArgmax.of(f, tuning.a_n) if isinstance(f, GriddedObjective) else f
+    if near.slack != tuning.a_n:
+        raise ValueError(f"cells were kept with slack {near.slack!r}, not a_n={tuning.a_n!r}")
+    joint = near.values >= near.row_max.max() - tuning.a_n
+    contact = np.abs(near.row_max) <= tuning.b_n
     fallback = not contact.any()
     if fallback:
-        contact = np.ones(len(f.grid), dtype=bool)
+        contact = np.ones(len(near.grid), dtype=bool)
     return ArgmaxSets(
-        grid=f.grid, per_x=per_x, joint=joint, contact=contact, contact_fallback=fallback
+        grid=near.grid, width=near.width, cells=near.cells,
+        starts=np.concatenate(([0], np.cumsum(near.counts)[:-1])),
+        joint=joint, contact=contact, contact_fallback=fallback,
     )
 
 
@@ -109,7 +118,7 @@ def _cell_values(h, sets: ArgmaxSets) -> np.ndarray:
     """h on the per-x cells, from h on every candidate (the objective's
     shape) or from h already restricted to ``sets.cells``."""
     hv = h.values if isinstance(h, GriddedObjective) else np.asarray(h, dtype=float)
-    if hv.shape == sets.per_x.shape:
+    if hv.shape == (len(sets.grid), sets.width):
         return hv.ravel()[sets.cells]
     if hv.shape == sets.cells.shape:
         return hv
@@ -130,7 +139,7 @@ def derivative_estimate(kind: StatKind, sets: ArgmaxSets, h) -> float:
         # second branch: sup_x inf over the per-x set of (-h)
         return float(max(row.max(), -row.min()))
     if kind.j == 2:
-        return float(max(hv[sets.joint.ravel()[sets.cells]].max(), 0.0))
+        return float(max(hv[sets.joint].max(), 0.0))
     w = sets.grid.rect_weights()
     if kind.j == 3:
         return float(np.sum(np.abs(row) ** kind.p * w) ** (1.0 / kind.p))

@@ -1,12 +1,11 @@
 """User-facing procedures: uniform bands for the bound functions, the
 combined CDF band, the dominance test, and the constant-effect diagnostic.
 
-All bootstrap directions are evaluated on the fixed candidate structure of
-the plug-in objective, so every replicate reuses the same precomputed
-searchsorted indices and only the cumulative weight arrays change.  The
-derivative estimators read a direction only on the per-x eps-argmax cells,
-so each problem gathers those cells' indices once and a replicate
-evaluates its direction there alone, a few percent of the candidates.
+The derivative estimators read a bootstrap direction only on the per-x
+eps-argmax cells of the plug-in objective, a few percent of its candidates.
+One pass over chunks of grid rows (``MakarovStructure``) keeps those cells'
+index pairs, so every replicate reuses them, evaluates its direction there
+alone, and only the cumulative weight arrays change.
 """
 
 from __future__ import annotations
@@ -90,13 +89,13 @@ class _BandProblem:
     """Bootstrap problem for one bound function's sup-norm statistic."""
 
     def __init__(self, X1: Sample, X0: Sample, structure: MakarovStructure,
-                 sets: ArgmaxSets, sign: float, r_n: float):
+                 which: str, sets: ArgmaxSets, r_n: float):
         self.sample_sizes = [len(X1), len(X0)]
         self.structure = structure
         self.sets = sets
-        self.sign = sign
+        self.sign = 1.0 if which == "lower" else -1.0
         self.r_n = r_n
-        self.cells = structure.cell_indices(sets.cells)
+        self.cells = structure.cell_indices(which)
         self.base = structure.base_values(self.cells)
         self.starts1 = _block_starts(X1)
         self.starts0 = _block_starts(X0)
@@ -110,13 +109,16 @@ class _BandProblem:
         return derivative_estimate(self.kind, self.sets, h)
 
 
-def _plugin(X1: Sample, X0: Sample, grid: Grid | None, step: float | None):
-    """Candidate structure and clipped (lower, upper) plug-in bounds, from
-    the scan behind `bounds` output so that band centers match it bit for bit."""
+def _plugin(X1: Sample, X0: Sample, grid: Grid | None, step: float | None,
+            a_n: float, orientations: tuple[str, ...]):
+    """Near-argmax candidates of the given orientations, from one pass, and
+    the clipped (lower, upper) plug-in bounds, from the scan behind `bounds`
+    output so that band centers match it bit for bit."""
     F1, F0 = ecdf_build(X1), ecdf_build(X0)
     if grid is None:
         grid = default_grid(support_bounds(X1, X0), step)
-    return MakarovStructure(F1, F0, grid), np.clip(_scan(F1, F0, grid), 0.0, 1.0)
+    structure = MakarovStructure(F1, F0, grid, a_n, orientations)
+    return structure, np.clip(_scan(F1, F0, grid), 0.0, 1.0)
 
 
 def uniform_band(which: str, X1: Sample, X0: Sample, alpha: float = 0.05,
@@ -130,7 +132,8 @@ def uniform_band(which: str, X1: Sample, X0: Sample, alpha: float = 0.05,
     """
     if which not in ("lower", "upper"):
         raise ValueError(f"band target must be 'lower' or 'upper', got {which!r}")
-    structure, (lower, upper) = _plugin(X1, X0, grid, step)
+    tuning = tuning or Tuning(n=len(X1) + len(X0))
+    structure, (lower, upper) = _plugin(X1, X0, grid, step, tuning.a_n, (which,))
     center = lower if which == "lower" else upper
     return _band(which, X1, X0, structure, center, alpha, config, tuning)
 
@@ -139,21 +142,20 @@ def bound_bands(X1: Sample, X0: Sample, alpha: float = 0.05,
                 config: BootstrapConfig | None = None, grid: Grid | None = None,
                 step: float | None = None, tuning: Tuning | None = None) -> tuple[Band, Band]:
     """The lower and upper ``uniform_band`` at the same level, sharing one
-    candidate structure and one bound scan."""
-    structure, (lower, upper) = _plugin(X1, X0, grid, step)
+    candidate pass and one bound scan."""
+    tuning = tuning or Tuning(n=len(X1) + len(X0))
+    structure, (lower, upper) = _plugin(X1, X0, grid, step, tuning.a_n, ("lower", "upper"))
     return (_band("lower", X1, X0, structure, lower, alpha, config, tuning),
             _band("upper", X1, X0, structure, upper, alpha, config, tuning))
 
 
 def _band(which: str, X1: Sample, X0: Sample, structure: MakarovStructure,
           center: np.ndarray, alpha: float, config: BootstrapConfig | None,
-          tuning: Tuning | None) -> Band:
+          tuning: Tuning) -> Band:
     """Bootstrap band around the plug-in bound ``center`` on ``structure``."""
     config = replace(config or BootstrapConfig(), alpha=alpha)
-    tuning = tuning or Tuning(n=len(X1) + len(X0))
-    sets = eps_argmax(structure.objective(which), tuning)
-    sign = 1.0 if which == "lower" else -1.0
-    problem = _BandProblem(X1, X0, structure, sets, sign, tuning.r_n)
+    sets = eps_argmax(structure.near_argmax(which), tuning)
+    problem = _BandProblem(X1, X0, structure, which, sets, tuning.r_n)
     run = bootstrap_statistic_distribution(problem, config)
     half = run.critical_value / tuning.r_n
     return Band(
@@ -194,16 +196,17 @@ class _DominanceProblem:
     control sample's weights are shared between both bound structures."""
 
     def __init__(self, X0, XA, XB, sA: MakarovStructure, sB: MakarovStructure,
-                 setsA, setsB, contact, signA, signB, integrand_sign, r_n):
+                 orientA, orientB, setsA, setsB, contact, integrand_sign, r_n):
         self.sample_sizes = [len(X0), len(XA), len(XB)]
         self.sA, self.sB = sA, sB
         self.setsA, self.setsB = setsA, setsB
         self.contact = contact
-        self.signA, self.signB = signA, signB
+        self.signA = 1.0 if orientA == "lower" else -1.0
+        self.signB = 1.0 if orientB == "lower" else -1.0
         self.integrand_sign = integrand_sign
         self.r_n = r_n
-        self.cellsA = sA.cell_indices(setsA.cells)
-        self.cellsB = sB.cell_indices(setsB.cells)
+        self.cellsA = sA.cell_indices(orientA)
+        self.cellsB = sB.cell_indices(orientB)
         self.baseA = sA.base_values(self.cellsA)
         self.baseB = sB.base_values(self.cellsB)
         self.starts0 = _block_starts(X0)
@@ -247,10 +250,8 @@ def dominance_test(X0: Sample, XA: Sample, XB: Sample, alpha: float = 0.05,
         orientA, orientB, integrand_sign = "lower", "upper", 1.0
     else:
         orientA, orientB, integrand_sign = "upper", "lower", -1.0
-    sA = MakarovStructure(FA, F0, grid)
-    sB = MakarovStructure(FB, F0, grid)
-    objA = sA.objective(orientA)
-    objB = sB.objective(orientB)
+    sA = MakarovStructure(FA, F0, grid, tuning.a_n, (orientA,))
+    sB = MakarovStructure(FB, F0, grid, tuning.a_n, (orientB,))
     if orientation == "necessary":
         lv = lower_bound(FA, F0, grid).values  # L_A
         rv = upper_bound(FB, F0, grid).values  # U_B
@@ -262,12 +263,10 @@ def dominance_test(X0: Sample, XA: Sample, XB: Sample, alpha: float = 0.05,
     right = ValueFunction(grid=grid, values=rv)
     stat = dominance_stat(left, right, tuning.r_n)
     contact = np.abs(gap) <= tuning.b_n
-    setsA = eps_argmax(objA, tuning)
-    setsB = eps_argmax(objB, tuning)
-    signA = 1.0 if orientA == "lower" else -1.0
-    signB = 1.0 if orientB == "lower" else -1.0
-    problem = _DominanceProblem(X0, XA, XB, sA, sB, setsA, setsB, contact,
-                                signA, signB, integrand_sign, tuning.r_n)
+    setsA = eps_argmax(sA.near_argmax(orientA), tuning)
+    setsB = eps_argmax(sB.near_argmax(orientB), tuning)
+    problem = _DominanceProblem(X0, XA, XB, sA, sB, orientA, orientB, setsA, setsB,
+                                contact, integrand_sign, tuning.r_n)
     run = bootstrap_statistic_distribution(problem, config)
     reps = run.replicates
     return TestResult(

@@ -2,9 +2,10 @@
 
 The lower/upper bound functions are suprema/infima of a difference of two
 step CDFs, piecewise constant in u with jumps only at the event set
-{treated points} union {control points + x}.  The bootstrap structure keeps
-every event's right value and left limit; the plug-in bounds need only the
-left limits (sup) and right values (inf) at shifted control points.  Both
+{treated points} union {control points + x}.  The bootstrap structure reads
+every event's right value and left limit and keeps the near-argmax ones;
+the plug-in bounds need only the left limits (sup) and right values (inf)
+at shifted control points.  Both
 read where the shifted control points fall among the treated points from
 one rank primitive, ``_ranks``."""
 
@@ -16,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .empirical import Sample, StepCDF, ecdf_build
-from .valuemap import Grid, GriddedObjective, ValueFunction
+from .valuemap import Grid, NearArgmax, ValueFunction
 
 __all__ = [
+    "ArgmaxBudgetError",
     "BoundPair",
     "GridBudgetError",
     "SupportInfo",
@@ -35,11 +37,17 @@ __all__ = [
 
 DEFAULT_GRID_POINTS = 512
 MAX_GRID_POINTS = 1_000_000
+MAX_ARGMAX_CELLS = 16_000_000
 _CHUNK = 200_000  # cap on grid-by-sample work arrays
+ORIENTATIONS = ("lower", "upper")
 
 
 class GridBudgetError(ValueError):
     """A requested grid step would give more than MAX_GRID_POINTS points."""
+
+
+class ArgmaxBudgetError(ValueError):
+    """A slack would keep more than MAX_ARGMAX_CELLS near-argmax cells."""
 
 
 @dataclass(frozen=True)
@@ -125,89 +133,120 @@ def upper_bound(F1: StepCDF, F0: StepCDF, grid: Grid) -> ValueFunction:
     return _clamped(_scan(F1, F0, grid)[1], grid)
 
 
+def _index_pairs(j1: np.ndarray, j0: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (ia, ib) of every candidate on the grid rows ``xs``, as
+    two rows x 2M arrays in the objective's column order: right values of
+    [treated | control], then their left limits.  ``ia`` indexes the F1
+    cumulative array and ``ib`` the F0 one."""
+    n1, n0 = j1.size, j0.size
+    M, m = n1 + n0, xs.size
+    ia = np.empty((m, 2 * M), dtype=np.intp)
+    ib = np.empty_like(ia)
+    # treated candidate i: #j1 <= j1[i] is i + 1 and #j1 < j1[i] is i
+    ia[:, :n1] = np.arange(1, n1 + 1)
+    ia[:, M:M + n1] = np.arange(n1)
+    # compared in u-space, where the control jumps sit at row = j0 + x;
+    # row is non-decreasing (j0 is increasing and rounding monotone),
+    # so its ties come only from rounding in the shift
+    rows = j0[None, :] + xs[:, None]
+    lt_j, le_j = _ranks(j1, rows)
+    ia[:, n1:M], ia[:, M + n1:] = le_j, lt_j
+    # runs of equal values in each row: #row < row is the start of
+    # the run, #row <= row its end (found from the right)
+    pos = np.arange(n0)
+    starts = np.ones((m, n0), dtype=bool)
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
+    lt_c = np.where(starts, pos, 0)
+    np.maximum.accumulate(lt_c, axis=1, out=ib[:, M + n1:])
+    ends = np.ones((m, n0), dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    le_c = np.where(ends[:, ::-1], n0 - pos, n0)
+    np.minimum.accumulate(le_c, axis=1, out=le_c)
+    ib[:, n1:M] = le_c[:, ::-1]
+    # row[p] <= j1[i] iff #j1 < row[p] is at most i, and row[p] <
+    # j1[i] iff #j1 <= row[p] is at most i: so #row <= j1[i] and
+    # #row < j1[i] are cumulative counts of the two control ranks
+    off = (n1 + 1) * np.arange(m)[:, None]
+    for rank, col in ((lt_j, 0), (le_j, M)):
+        hist = np.bincount((rank + off).ravel(), minlength=m * (n1 + 1))
+        np.cumsum(hist.reshape(m, n1 + 1)[:, :n1], axis=1, out=ib[:, col:col + n1])
+    return ia, ib
+
+
 class MakarovStructure:
-    """Fixed candidate structure for the objective Pi(F)(u, x) = F1(u) - F0(u - x).
+    """Near-argmax candidates of the objective Pi(F)(u, x) = F1(u) - F0(u - x).
 
     Candidates for each grid x are the event points {F1 jumps} union
-    {F0 jumps + x}, each taken right-continuously and as a left limit.  The
-    structure holds one index pair per candidate in the objective's column
-    order (right values of [treated | control], then their left limits):
-    ``ia`` indexes the F1 cumulative array and ``ib`` the F0 one, so the
-    candidate's value is c1[ia] - c0[ib].  Bootstrap directions jump at the
-    same event points, so any reweighting of the same observations is
-    evaluated exactly through the same index pairs.
+    {F0 jumps + x}, each taken right-continuously and as a left limit; a
+    candidate's value is c1[ia] - c0[ib] for its index pair (``_index_pairs``).
+    One pass over chunks of grid rows builds each chunk's index pairs and
+    values and keeps, per orientation ("lower": the objective, "upper": its
+    negation), only the cells within ``a_n`` of their row's maximum, with
+    their index pairs.  Memory is O(chunk + kept cells); the whole K x 2M
+    candidate matrix is never held.  Bootstrap directions jump at the same
+    event points, so any reweighting of the same observations is evaluated
+    exactly through the kept index pairs.
     """
 
-    def __init__(self, F1: StepCDF, F0: StepCDF, grid: Grid):
-        self.F1, self.F0, self.grid = F1, F0, grid
-        j1, j0 = F1.jump_points, F0.jump_points
-        n1, n0 = j1.size, j0.size
-        M = n1 + n0
-        self.ia = np.empty((len(grid), 2 * M), dtype=np.intp)
-        self.ib = np.empty_like(self.ia)
-        # treated candidate i: #j1 <= j1[i] is i + 1 and #j1 < j1[i] is i
-        self.ia[:, :n1] = np.arange(1, n1 + 1)
-        self.ia[:, M:M + n1] = np.arange(n1)
-        pos = np.arange(n0)
-        for s in _chunks(grid, M):
-            # compared in u-space, where the control jumps sit at row = j0 + x;
-            # row is non-decreasing (j0 is increasing and rounding monotone),
-            # so its ties come only from rounding in the shift
-            rows = j0[None, :] + grid.points[s, None]
-            m = rows.shape[0]
-            lt_j, le_j = _ranks(j1, rows)
-            self.ia[s, n1:M], self.ia[s, M + n1:] = le_j, lt_j
-            # runs of equal values in each row: #row < row is the start of
-            # the run, #row <= row its end (found from the right)
-            starts = np.ones((m, n0), dtype=bool)
-            np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
-            lt_c = np.where(starts, pos, 0)
-            np.maximum.accumulate(lt_c, axis=1, out=self.ib[s, M + n1:])
-            ends = np.ones((m, n0), dtype=bool)
-            ends[:, :-1] = starts[:, 1:]
-            le_c = np.where(ends[:, ::-1], n0 - pos, n0)
-            np.minimum.accumulate(le_c, axis=1, out=le_c)
-            self.ib[s, n1:M] = le_c[:, ::-1]
-            # row[p] <= j1[i] iff #j1 < row[p] is at most i, and row[p] <
-            # j1[i] iff #j1 <= row[p] is at most i: so #row <= j1[i] and
-            # #row < j1[i] are cumulative counts of the two control ranks
-            off = (n1 + 1) * np.arange(m)[:, None]
-            for rank, col in ((lt_j, 0), (le_j, M)):
-                hist = np.bincount((rank + off).ravel(), minlength=m * (n1 + 1))
-                np.cumsum(hist.reshape(m, n1 + 1)[:, :n1], axis=1,
-                          out=self.ib[s, col:col + n1])
+    def __init__(self, F1: StepCDF, F0: StepCDF, grid: Grid, a_n: float,
+                 orientations=ORIENTATIONS):
+        unknown = set(orientations) - set(ORIENTATIONS)
+        if unknown:
+            raise ValueError(f"unknown orientation {unknown.pop()!r}")
+        self.grid = grid
         self.c1 = np.concatenate(([0.0], F1.cum_probs))
         self.c0 = np.concatenate(([0.0], F0.cum_probs))
+        j1, j0 = F1.jump_points, F0.jump_points
+        M = j1.size + j0.size
+        width = 2 * M
+        wanted = [o for o in ORIENTATIONS if o in orientations]
+        parts = {o: [] for o in wanted}
+        row_max = {o: np.empty(len(grid)) for o in wanted}
+        kept = 0
+        for s in _chunks(grid, M):
+            ia, ib = _index_pairs(j1, j0, grid.points[s])
+            values = self.c1[ia]
+            values -= self.c0[ib]
+            for o in wanted:  # "lower" first: "upper" negates the values in place
+                if o == "upper":
+                    np.negative(values, out=values)
+                top = row_max[o][s] = values.max(axis=1)
+                keep = values >= (top - a_n)[:, None]
+                pos = np.flatnonzero(keep)
+                kept += pos.size
+                if kept > MAX_ARGMAX_CELLS:
+                    raise ArgmaxBudgetError(
+                        f"slack a_n={a_n!r} keeps more than {MAX_ARGMAX_CELLS} "
+                        "near-argmax candidate cells, the limit")
+                parts[o].append((pos + s.start * width, keep.sum(axis=1),
+                                 values.take(pos), ia.take(pos), ib.take(pos)))
+        self._kept = {}
+        for o in wanted:
+            cells, counts, vals, ia, ib = (np.concatenate(p) for p in zip(*parts.pop(o)))
+            near = NearArgmax(grid=grid, width=width, slack=a_n, row_max=row_max[o],
+                              cells=cells, counts=counts, values=vals)
+            self._kept[o] = (near, (ia, ib))
 
-    def cell_indices(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Index pairs into (d1, d0) of the candidates at the given
-        row-major flat positions of the K x 2M candidate matrix, for
-        ``evaluate``."""
-        return np.take(self.ia, flat), np.take(self.ib, flat)
+    def near_argmax(self, orientation: str) -> NearArgmax:
+        """The kept cells of one orientation, for ``eps_argmax``."""
+        return self._kept[orientation][0]
 
-    def evaluate(self, d1: np.ndarray, d0: np.ndarray, cells=None) -> np.ndarray:
-        """g1(u) - g0(u - x) over all candidates (K x 2M), for step
-        functions with the same jump points as (F1, F0) and cumulative
-        arrays d1, d0 (leading zero included).  With ``cells`` from
-        ``cell_indices``, only at those candidates, as a flat array in the
-        same order."""
-        ia, ib = (self.ia, self.ib) if cells is None else cells
+    def cell_indices(self, orientation: str) -> tuple[np.ndarray, np.ndarray]:
+        """Index pairs into (d1, d0) of the kept cells of one orientation,
+        in the order of their ``near_argmax`` cells, for ``evaluate``."""
+        return self._kept[orientation][1]
+
+    def evaluate(self, d1: np.ndarray, d0: np.ndarray, cells) -> np.ndarray:
+        """g1(u) - g0(u - x) at the candidates ``cells`` (from
+        ``cell_indices``), for step functions with the same jump points as
+        (F1, F0) and cumulative arrays d1, d0 (leading zero included)."""
+        ia, ib = cells
         out = d1[ia]
         out -= d0[ib]
         return out
 
-    def base_values(self, cells=None) -> np.ndarray:
+    def base_values(self, cells) -> np.ndarray:
         return self.evaluate(self.c1, self.c0, cells)
-
-    def objective(self, orientation: str = "lower") -> GriddedObjective:
-        """Event-point candidate objective; psi of it recovers the bound:
-        lower_bound = psi(.) and upper_bound = 1 - psi(.) for 'upper'."""
-        if orientation not in ("lower", "upper"):
-            raise ValueError(f"unknown orientation {orientation!r}")
-        values = self.base_values()
-        if orientation == "upper":
-            np.negative(values, out=values)
-        return GriddedObjective(grid=self.grid, values=values)
 
 
 def quantile_bounds(F1: StepCDF, F0: StepCDF, taus) -> tuple[np.ndarray, np.ndarray]:

@@ -45,6 +45,8 @@ class ExperimentConfig:
             raise ValueError("need at least one Monte Carlo repetition")
         if len(self.deltas) == 0:
             raise ValueError("delta grid must be nonempty")
+        if self.threads < 1:
+            raise ValueError("thread count must be at least 1")
 
     def step(self) -> float:
         if self.grid_step is not None:

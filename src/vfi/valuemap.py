@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid", "GriddedObjective", "ValueFunction", "psi", "negate"]
+__all__ = ["Grid", "GriddedObjective", "NearArgmax", "ValueFunction", "psi", "negate"]
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,36 @@ def psi(f: GriddedObjective) -> ValueFunction:
         k = int(np.flatnonzero(~f.valid.any(axis=1))[0])
         raise ValueError(f"empty candidate set at grid point x={float(f.grid.points[k])!r}")
     return ValueFunction(grid=f.grid, values=f.masked_values(-np.inf).max(axis=1))
+
+
+@dataclass(frozen=True)
+class NearArgmax:
+    """The cells of an objective within ``slack`` of their row's maximum.
+
+    ``cells`` holds their row-major flat indices into the (n_grid, width)
+    candidate matrix, ``counts[k]`` how many of them row k has, and
+    ``values`` the objective at each; ``row_max`` is psi of the objective.
+    Built from a dense objective by ``of``, or chunk by chunk of grid rows
+    by a candidate structure that never holds the whole matrix.
+    """
+
+    grid: Grid
+    width: int
+    slack: float
+    row_max: np.ndarray
+    cells: np.ndarray
+    counts: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, f: GriddedObjective, slack: float) -> "NearArgmax":
+        """The one-chunk case: every row of a dense objective at once."""
+        row_max = psi(f).values
+        vals = f.masked_values(-np.inf)
+        keep = vals >= (row_max - slack)[:, None]
+        cells = np.flatnonzero(keep)
+        return cls(grid=f.grid, width=vals.shape[1], slack=slack, row_max=row_max,
+                   cells=cells, counts=keep.sum(axis=1), values=vals.ravel()[cells])
 
 
 def negate(f: GriddedObjective) -> GriddedObjective:

@@ -4,6 +4,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from vfi.bootstrap import (
     BootstrapConfig,
+    _key,
+    _mix,
     bootstrap_statistic_distribution,
     critical_value,
     derive_seed,
@@ -43,6 +45,33 @@ class TestStreams:
         ids = [(e, i, m) for e in (7001, 7002) for i in range(12)
                for m in (0, 1, 9_999, 10_000, 10_001)]
         assert len({derive_seed(3, *key) for key in ids}) == len(ids)
+
+
+class TestStreamKeys:
+    """Philox keys of the streams (seed 0, sample 0, replicate r), pinned
+    word for word: every recorded replicate depends on them."""
+
+    @pytest.mark.parametrize("r, words, case", [
+        # both words below 2**63: kept as they are (numpy used to infer int64)
+        (3, (0x794DFD8909773E4F, 0x36725C79D67ED975), "int64"),
+        # both words at least 2**63: kept as they are (inferred uint64)
+        (0, (0xE220A8397B1DCDAF, 0xA706DD2F4D197E6F), "uint64"),
+        # exactly one word at least 2**63: both rounded to 53 significant
+        # bits (inferred float64); 0xd300120a5ea35cac and 0x43748baab21b16
+        (1, (0xD300120A5EA36000, 0x43748BAAB21B18), "float64"),
+    ])
+    def test_pinned_key_words(self, r, words, case):
+        k = derive_seed(0, 0, r)
+        assert (k >> 63) + (_mix(k) >> 63) == {"int64": 0, "uint64": 2, "float64": 1}[case]
+        assert _key(k).dtype == np.uint64
+        assert [int(w) for w in _key(k)] == list(words)
+        key = stream(0, 0, r).bit_generator.state["state"]["key"]
+        assert [int(w) for w in key] == list(words)
+
+    def test_word_rounding_to_two_to_the_64_wraps_to_zero(self):
+        k = 2**64 - 5  # at least 2**63, and _mix(k) is below it
+        assert _mix(k) < 2**63
+        assert [int(w) for w in _key(k)] == [0, 1635312068028924416]
 
 
 class TestWeights:

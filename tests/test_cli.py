@@ -1,16 +1,19 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from vfi import cli, makarov
+from vfi.cli import run_cli
+from vfi.simulate import ExperimentConfig
+
 CLI = [sys.executable, "-m", "vfi.cli"]
 
 
 def run(*args, env_extra=None, **kw):
-    import os
-
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -179,6 +182,56 @@ class TestErrors:
         r = run("band", "--treated", data["treated"], "--control", data["control"],
                 env_extra={"VFI_SEED": "seven"})
         assert r.returncode == 2 and "VFI_SEED" in r.stderr
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--R", "0", "replicate count"),
+        ("--R", "many", "replicate count"),
+        ("--alpha", "1.5", "(0, 1)"),
+        ("--alpha", "nan", "(0, 1)"),
+        ("--threads", "0", "thread count"),
+        ("--an-const", "-1", "tuning constant"),
+        ("--bn-const", "-1", "tuning constant"),
+        ("--an-const", "inf", "tuning constant"),
+    ])
+    def test_bad_bootstrap_flag_exit_2(self, data, capsys, flag, value, message):
+        # these used to reach a dataclass check and exit 1
+        rc = run_cli(["band", "--treated", data["treated"], "--control", data["control"],
+                      f"{flag}={value}"])
+        err = capsys.readouterr().err
+        assert rc == 2 and flag in err and message in err and "Traceback" not in err
+
+    def test_bad_bootstrap_env_exit_2(self, data, capsys, monkeypatch):
+        for name, value in (("VFI_R", "0"), ("VFI_ALPHA", "1.5"), ("VFI_THREADS", "0"),
+                            ("VFI_AN_CONST", "-1"), ("VFI_BN_CONST", "-1")):
+            monkeypatch.setenv(name, value)
+            rc = run_cli(["band", "--treated", data["treated"], "--control", data["control"]])
+            monkeypatch.delenv(name)
+            assert rc == 2 and name in capsys.readouterr().err, name
+
+    def test_simulate_threads_0_exit_2(self):
+        # it used to run and exit 0
+        r = run("simulate", "normal", "--n", "40", "--R", "19", "--reps", "1",
+                "--threads", "0")
+        assert r.returncode == 2 and "--threads" in r.stderr
+        with pytest.raises(ValueError, match="thread count"):
+            ExperimentConfig(kind="normal_location", threads=0)
+
+    def test_threads_above_the_cap_exit_2(self, data, capsys):
+        # only the parser is run: no pool is started at either value
+        assert cli._threads(str(cli.MAX_THREADS)) == cli.MAX_THREADS
+        assert cli.MAX_THREADS >= (os.cpu_count() or 1)
+        for args in (["band", "--treated", data["treated"], "--control", data["control"]],
+                     ["simulate", "dominance", "--n", "40"]):
+            rc = run_cli(args + ["--threads", str(cli.MAX_THREADS + 1)])
+            err = capsys.readouterr().err
+            assert rc == 2 and "--threads" in err and str(cli.MAX_THREADS) in err
+
+    def test_argmax_cell_budget_exit_2(self, data, capsys, monkeypatch):
+        monkeypatch.setattr(makarov, "MAX_ARGMAX_CELLS", 5000)
+        rc = run_cli(["band", "--treated", data["treated"], "--control", data["control"],
+                      "--an-const", "1e9", "--R", "9"])
+        err = capsys.readouterr().err
+        assert rc == 2 and "5000 near-argmax candidate cells" in err
 
     def test_non_finite_range_exit_1(self, data, tmp_path):
         p = tmp_path / "huge.csv"

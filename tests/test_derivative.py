@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from vfi.derivative import (
@@ -9,8 +11,11 @@ from vfi.derivative import (
     dominance_derivative_estimate,
     eps_argmax,
 )
-from vfi.stats import StatKind
-from vfi.valuemap import Grid, GriddedObjective
+from vfi.empirical import Sample, ecdf_build
+from vfi.stats import StatKind, lambda_stat
+from vfi.valuemap import Grid, GriddedObjective, psi
+
+from dense_reference import DenseStructure, dense_joint
 
 
 def unit_grid(k=10):
@@ -67,13 +72,13 @@ class TestEpsArgmax:
     def test_huge_slack_keeps_everything(self):
         f = make_obj(np.random.default_rng(0).normal(0, 1, (5, 4)))
         sets = eps_argmax(f, FixedTuning(a_n=100.0, b_n=100.0))
-        assert sets.per_x.all() and sets.joint.all() and sets.contact.all()
+        assert sets.per_x.all() and dense_joint(sets).all() and sets.contact.all()
 
     def test_strict_maximizer_singleton(self):
         f = make_obj([[0.0, 1.0, 0.2], [0.5, 0.0, 0.0]])
         sets = eps_argmax(f, FixedTuning(a_n=0.05, b_n=0.1))
         assert_array_equal(sets.per_x, [[False, True, False], [True, False, False]])
-        assert_array_equal(sets.joint, [[False, True, False], [False, False, False]])
+        assert_array_equal(dense_joint(sets), [[False, True, False], [False, False, False]])
 
     def test_threshold_example(self):
         f = make_obj([[0.9, 1.0, 0.99], [0.0, 0.0, 0.0]])
@@ -95,7 +100,7 @@ class TestEpsArgmax:
             small = eps_argmax(f, FixedTuning(a_n=0.1, b_n=0.1))
             big = eps_argmax(f, FixedTuning(a_n=0.7, b_n=0.7))
             assert np.all(big.per_x >= small.per_x)
-            assert np.all(big.joint >= small.joint)
+            assert np.all(dense_joint(big) >= dense_joint(small))
 
     def test_consistency_under_vanishing_noise(self):
         # noisy objective recovers the true argmax sets as n grows
@@ -176,7 +181,7 @@ class TestDerivativeEstimate:
             w = f.grid.rect_weights()
             dense = {
                 1: max(row.max(), -row.min()),
-                2: max(np.where(sets.joint, h, -np.inf).max(), 0.0),
+                2: max(np.where(dense_joint(sets), h, -np.inf).max(), 0.0),
                 3: np.sum(np.abs(row) ** 2.0 * w) ** 0.5,
                 4: np.sum(np.maximum(row, 0.0)[sets.contact] ** 2.0 * w[sets.contact]) ** 0.5,
             }
@@ -185,10 +190,15 @@ class TestDerivativeEstimate:
                 assert derivative_estimate(kind, sets, h) == float(want)
                 assert derivative_estimate(kind, sets, h.ravel()[sets.cells]) == float(want)
 
-    def test_joint_outside_per_x_rejected(self):
-        with pytest.raises(ValueError, match="inside"):
-            ArgmaxSets(grid=unit_grid(2), per_x=np.array([[True, False], [True, False]]),
-                       joint=np.array([[False, True], [False, False]]),
+    def test_joint_mask_must_cover_the_cells(self):
+        # the joint set is a mask over the per-x cells, so it cannot leave them
+        with pytest.raises(ValueError, match="mask over the per-x cells"):
+            ArgmaxSets(grid=unit_grid(2), width=2, cells=np.array([0, 2]),
+                       starts=np.array([0, 1]), joint=np.array([False, True, False]),
+                       contact=np.ones(2, dtype=bool))
+        with pytest.raises(ValueError, match="nonempty"):
+            ArgmaxSets(grid=unit_grid(2), width=2, cells=np.array([0, 1]),
+                       starts=np.array([0, 2]), joint=np.array([True, False]),
                        contact=np.ones(2, dtype=bool))
 
     def test_monotone_in_slack_for_positive_directions(self):
@@ -246,3 +256,97 @@ class TestDominanceDerivative:
         pos = dominance_derivative_estimate(self.setsA, self.setsB, contact, hA, hB, sign=1.0)
         neg = dominance_derivative_estimate(self.setsA, self.setsB, contact, hA, hB, sign=-1.0)
         assert pos > 0 and neg == 0.0
+
+
+# Step CDFs on a 0.25 lattice, so that shifted control jumps meet treated
+# jumps and rows of the Makarov objective have tied maxima.
+lattice_samples = st.lists(st.integers(0, 8), min_size=1, max_size=6).map(
+    lambda v: Sample(0.25 * np.array(v, dtype=float)))
+ORACLE_GRID = Grid(points=np.arange(-9, 10) * 0.25, step=0.25)
+
+
+def makarov_objective(X1, X0, orientation):
+    return DenseStructure(ecdf_build(X1), ecdf_build(X0), ORACLE_GRID).objective(orientation).values
+
+
+def row_gaps(values):
+    """Per row, its maximum minus its next distinct value (inf if none)."""
+    top = values.max(axis=1)
+    return top - np.where(values < top[:, None], values, -np.inf).max(axis=1)
+
+
+def below_zero_gap(values):
+    """Distance from 0 to the largest negative entry (inf if none)."""
+    neg = values[values < 0]
+    return -neg.max() if neg.size else np.inf
+
+
+def psi_of(values):
+    return psi(GriddedObjective(grid=ORACLE_GRID, values=values)).values
+
+
+class TestNumericalDelta:
+    """The analytic estimates against the numerical derivative of Hong & Li
+    (2018), [lambda(psi(f + s h)) - lambda(psi(f))] / s.  They agree when a_n
+    and s max|h| sit below each row's gap between its maximum and its next
+    distinct value, for then psi(f + s h) = psi(f) + s max_{argmax} h row by
+    row and the eps-argmax sets are the exact argmax sets.  The statistics
+    are evaluated at their null configurations: psi(f) = 0 on every row for
+    the two-sided j = 1, 3 (the band's centred process) and psi(f) <= 0 with
+    equality on the contact rows for the one-sided j = 2, 4 and the
+    dominance statistic; b_n and s max|h| then also sit below the gap
+    between 0 and the other values.  Values an ulp apart, tied in exact
+    arithmetic, leave no room for s above rounding and are skipped."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(X1=lattice_samples, X0=lattice_samples, seed=st.integers(0, 2**32 - 1),
+           p=st.sampled_from([1.0, 2.0, 3.0]))
+    def test_lambda_estimators(self, X1, X0, seed, p):
+        f = makarov_objective(X1, X0, "lower")
+        h = np.random.default_rng(seed).normal(0, 1, f.shape)
+        centred = f - f.max(axis=1)[:, None]  # psi = 0 on every row
+        shifted = f - f.max()  # psi <= 0, = 0 on the top rows
+        for values, kinds in ((centred, (1, 3)), (shifted, (2, 4))):
+            margin = min(row_gaps(values).min(), below_zero_gap(values), 1.0)
+            assume(margin > 1e-6)  # not two values an ulp apart
+            slack = margin / 4
+            s = margin / (4 * np.abs(h).max())
+            sets = eps_argmax(GriddedObjective(grid=ORACLE_GRID, values=values),
+                              FixedTuning(a_n=slack, b_n=slack))
+            for j in kinds:
+                kind = StatKind(j, p=p)
+                base = lambda_stat(GriddedObjective(grid=ORACLE_GRID, values=values), kind)
+                moved = lambda_stat(GriddedObjective(grid=ORACLE_GRID, values=values + s * h), kind)
+                assert base.value == 0.0
+                numerical = (moved.value - base.value) / s
+                assert derivative_estimate(kind, sets, h) == pytest.approx(
+                    numerical, rel=1e-9, abs=1e-9), j
+
+    @settings(max_examples=80, deadline=None)
+    @given(X0=lattice_samples, XA=lattice_samples, XB=lattice_samples,
+           seed=st.integers(0, 2**32 - 1), sign=st.sampled_from([1.0, -1.0]))
+    def test_dominance_estimator(self, X0, XA, XB, seed, sign):
+        fA = makarov_objective(XA, X0, "lower")
+        fB = makarov_objective(XB, X0, "upper")
+        rng = np.random.default_rng(seed)
+        hA, hB = rng.normal(0, 1, fA.shape), rng.normal(0, 1, fB.shape)
+        w = ORACLE_GRID.rect_weights()
+        top = (sign * (psi_of(fA) + psi_of(fB))).max()
+
+        def stat(a, b):  # one-sided L2 statistic, 0 at the base point
+            gap = np.maximum(sign * (psi_of(a) + psi_of(b)) - top, 0.0)
+            return float(np.sqrt(np.sum(gap ** 2 * w)))
+
+        level = sign * (psi_of(fA) + psi_of(fB)) - top
+        margin = min(row_gaps(fA).min(), row_gaps(fB).min(), below_zero_gap(level), 1.0)
+        assume(margin > 1e-6)  # not two values an ulp apart
+        slack = margin / 4
+        s = margin / (4 * (np.abs(hA).max() + np.abs(hB).max()))
+        tuning = FixedTuning(a_n=slack, b_n=slack)
+        setsA = eps_argmax(GriddedObjective(grid=ORACLE_GRID, values=fA), tuning)
+        setsB = eps_argmax(GriddedObjective(grid=ORACLE_GRID, values=fB), tuning)
+        contact = np.abs(level) <= slack
+        assert stat(fA, fB) == 0.0 and contact.any()
+        numerical = (stat(fA + s * hA, fB + s * hB) - stat(fA, fB)) / s
+        got = dominance_derivative_estimate(setsA, setsB, contact, hA, hB, sign=sign)
+        assert got == pytest.approx(numerical, rel=1e-9, abs=1e-9)

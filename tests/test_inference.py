@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -54,16 +56,31 @@ class TestUniformBand:
         X1, X0 = normal_samples(4, n=30)
         F1, F0 = ecdf_build(X1), ecdf_build(X0)
         grid = default_grid(support_bounds(X1, X0), 0.2)
-        s = MakarovStructure(F1, F0, grid)
         tuning = Tuning(n=60)
-        sets = eps_argmax(s.objective("lower"), tuning)
-        problem = _BandProblem(X1, X0, s, sets, 1.0, tuning.r_n)
+        s = MakarovStructure(F1, F0, grid, tuning.a_n, ("lower",))
+        sets = eps_argmax(s.near_argmax("lower"), tuning)
+        problem = _BandProblem(X1, X0, s, "lower", sets, tuning.r_n)
         assert problem.replicate_stat([np.ones(30), np.ones(30)]) == 0.0
 
     def test_rejects_unknown_target(self):
         X1, X0 = normal_samples(5)
         with pytest.raises(ValueError, match="lower"):
             uniform_band("middle", X1, X0)
+
+
+class TestMemory:
+    def test_bound_bands_peak_at_n_1e3(self):
+        # the dense candidate path held ia, ib and the objective (K x 2M each,
+        # K = 515 grid rows, 2M = 4000 candidates): a 67 MB peak here; the
+        # streamed pass holds one chunk of rows and the kept cells (27 MB)
+        X1, X0 = normal_samples(12, n=1000, shift=0.5)
+        tracemalloc.start()
+        try:
+            bound_bands(X1, X0, alpha=0.025, config=BootstrapConfig(R=9, seed=1, alpha=0.025))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 class TestBandDuality:

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from vfi import makarov
 from vfi.empirical import Sample, ecdf_build
 from vfi.makarov import (
+    ArgmaxBudgetError,
     GridBudgetError,
     MakarovStructure,
     SupportInfo,
@@ -19,7 +20,9 @@ from vfi.makarov import (
     support_bounds,
     upper_bound,
 )
-from vfi.valuemap import Grid, psi
+from vfi.valuemap import Grid
+
+from dense_reference import DenseStructure, assert_streamed_matches_dense
 
 
 def brute_lower(F1, X0, x):
@@ -89,10 +92,12 @@ def assert_kernel_matches_reference(F1, F0, grid):
     lower, upper = makarov._scan(F1, F0, grid)
     assert_array_equal(lower, reference_scan(F1, F0, grid, lambda a, b: a - b, np.max))
     assert_array_equal(upper, reference_scan(F1, F0, grid, lambda a, b: (1.0 - b) + a, np.min))
-    s = MakarovStructure(F1, F0, grid)
+    s = DenseStructure(F1, F0, grid)
     i1r, i1l, i0r, i0l = reference_structure(F1, F0, grid)
     assert_array_equal(s.ia, np.concatenate((i1r, i1l), axis=1), err_msg="ia")
     assert_array_equal(s.ib, np.concatenate((i0r, i0l), axis=1), err_msg="ib")
+    # the streamed pass, chunk by chunk, keeps the dense structure's cells
+    assert_streamed_matches_dense(F1, F0, grid, a_n=0.15)
 
 
 def random_pair(rng, nmax=15):
@@ -173,8 +178,9 @@ class TestScanOracle:
 
 class TestRowKernel:
     """The shared candidate-index kernel against the per-row searchsorted
-    reference, bit for bit: ``_scan`` directly, and ``MakarovStructure``
-    through its two index arrays, both built on ``_ranks``."""
+    reference, bit for bit: ``_scan`` directly, and ``_index_pairs``
+    through its two index arrays, both built on ``_ranks``; and the cells
+    ``MakarovStructure`` keeps, chunk by chunk, against the dense ones."""
 
     def test_tie_heavy_lattice(self):
         rng = np.random.default_rng(20)
@@ -224,9 +230,9 @@ class TestStructure:
             X1, X0 = random_pair(rng)
             F1, F0 = ecdf_build(X1), ecdf_build(X0)
             grid = default_grid(support_bounds(X1, X0), 0.19)
-            s = MakarovStructure(F1, F0, grid)
-            Lv = np.clip(psi(s.objective("lower")).values, 0.0, 1.0)
-            Uv = np.clip(1.0 - np.maximum(psi(s.objective("upper")).values, 0.0), 0.0, 1.0)
+            s = MakarovStructure(F1, F0, grid, a_n=0.1)
+            Lv = np.clip(s.near_argmax("lower").row_max, 0.0, 1.0)
+            Uv = np.clip(1.0 - np.maximum(s.near_argmax("upper").row_max, 0.0), 0.0, 1.0)
             assert_array_equal(Lv, lower_bound(F1, F0, grid).values)
             # the direct path arranges the arithmetic differently; agreement
             # is up to one rounding step
@@ -237,15 +243,42 @@ class TestStructure:
         X1, X0 = random_pair(rng)
         F1, F0 = ecdf_build(X1), ecdf_build(X0)
         grid = default_grid(support_bounds(X1, X0), 0.3)
-        s = MakarovStructure(F1, F0, grid)
-        assert_array_equal(s.evaluate(s.c1, s.c0), s.base_values())
+        s = MakarovStructure(F1, F0, grid, a_n=0.1)
+        for o, sign in (("lower", 1.0), ("upper", -1.0)):
+            cells = s.cell_indices(o)
+            assert_array_equal(s.evaluate(s.c1, s.c0, cells), sign * s.near_argmax(o).values)
+
+    def test_argmax_cell_budget_is_checked_per_chunk(self, monkeypatch):
+        X1, X0 = random_pair(np.random.default_rng(13))
+        F1, F0 = ecdf_build(X1), ecdf_build(X0)
+        grid = default_grid(support_bounds(X1, X0), 0.1)
+        width = F1.jump_points.size + F0.jump_points.size
+        monkeypatch.setattr(makarov, "_CHUNK", width)  # one grid row per chunk
+        # a slack this large keeps all 2M = 2 * width cells of a row, for
+        # each orientation: the fourth row passes three rows' worth
+        limit = 3 * 2 * 2 * width
+        monkeypatch.setattr(makarov, "MAX_ARGMAX_CELLS", limit)
+        rows = []
+
+        def counted(j1, j0, xs):
+            rows.append(xs.size)
+            return index_pairs(j1, j0, xs)
+
+        index_pairs = makarov._index_pairs
+        monkeypatch.setattr(makarov, "_index_pairs", counted)
+        with pytest.raises(ArgmaxBudgetError, match=f"{limit} near-argmax"):
+            MakarovStructure(F1, F0, grid, a_n=10.0)
+        assert len(rows) == 4 < len(grid)
+        # the limit itself is allowed: one orientation keeps 2M cells a row
+        monkeypatch.setattr(makarov, "MAX_ARGMAX_CELLS", len(grid) * 2 * width)
+        MakarovStructure(F1, F0, grid, a_n=10.0, orientations=("lower",))
 
     def test_objective_rejects_unknown_orientation(self):
         X1, X0 = random_pair(np.random.default_rng(11))
         F1, F0 = ecdf_build(X1), ecdf_build(X0)
         grid = default_grid(support_bounds(X1, X0), 0.5)
         with pytest.raises(ValueError, match="orientation"):
-            MakarovStructure(F1, F0, grid).objective("sideways")
+            MakarovStructure(F1, F0, grid, 0.1, ("lower", "sideways"))
 
 
 class TestSupport:

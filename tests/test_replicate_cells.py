@@ -1,6 +1,7 @@
 """Bootstrap replicates evaluated only on the per-x eps-argmax cells must
 equal, bit for bit, a dense reference that evaluates the direction on every
-candidate of the Makarov structure and masks the rest away."""
+candidate of the Makarov structure and masks the rest away; and the cells
+the streamed pass keeps must be the dense objective's."""
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from vfi.bootstrap import BootstrapConfig, bootstrap_statistic_distribution
 from vfi.derivative import Tuning, eps_argmax
 from vfi.empirical import Sample, ecdf_build
 from vfi.inference import _block_starts, _cum_from_weights, dominance_test, uniform_band
-from vfi.makarov import MakarovStructure, default_grid, lower_bound, support_bounds, upper_bound
+from vfi import makarov
+from vfi.makarov import default_grid, lower_bound, support_bounds, upper_bound
 from vfi.valuemap import Grid
+
+from dense_reference import DenseStructure, assert_streamed_matches_dense
 
 
 def _dense_row_sup(h, per_x):
@@ -23,10 +27,10 @@ class _DenseBand:
 
     def __init__(self, which, X1, X0, grid, tuning):
         self.sample_sizes = [len(X1), len(X0)]
-        self.s = MakarovStructure(ecdf_build(X1), ecdf_build(X0), grid)
+        self.s = DenseStructure(ecdf_build(X1), ecdf_build(X0), grid)
         self.per_x = eps_argmax(self.s.objective(which), tuning).per_x
         self.scale = (1.0 if which == "lower" else -1.0) * tuning.r_n
-        self.base = self.s.evaluate(self.s.c1, self.s.c0)
+        self.base = self.s.base_values()
         self.starts = (_block_starts(X1), _block_starts(X0))
 
     def replicate_stat(self, ws):
@@ -53,10 +57,10 @@ class _DenseDominance:
             self.contact = np.ones(len(grid), dtype=bool)
         self.parts = []
         for F, o in ((FA, oA), (FB, oB)):
-            s = MakarovStructure(F, F0, grid)
+            s = DenseStructure(F, F0, grid)
             per_x = eps_argmax(s.objective(o), tuning).per_x
             scale = (1.0 if o == "lower" else -1.0) * tuning.r_n
-            self.parts.append((s, per_x, scale, s.evaluate(s.c1, s.c0)))
+            self.parts.append((s, per_x, scale, s.base_values()))
         self.w = grid.rect_weights()
         self.starts = [_block_starts(X) for X in (X0, XA, XB)]
 
@@ -132,3 +136,20 @@ def test_dominance_empty_contact_falls_back(orientation):
     assert_array_equal(res.run.replicates,
                        bootstrap_statistic_distribution(dense, cfg).replicates)
     assert res.run.replicates.max() > 0
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+@pytest.mark.parametrize("ties", [False, True])
+def test_streamed_cells_match_dense(ties, rows, monkeypatch):
+    # chunks of 1, 3 and 7 grid rows, the last one short; both orientations
+    rng = np.random.default_rng([44, ties, rows])
+    decimals = 1 if ties else None
+    X1, X0 = _sample(rng, 0.4, 23, decimals), _sample(rng, 0.0, 19, decimals)
+    F1, F0 = ecdf_build(X1), ecdf_build(X0)
+    grid = default_grid(support_bounds(X1, X0), 0.07)
+    assert rows == 1 or len(grid) % rows, "the last chunk should be short"
+    width = F1.jump_points.size + F0.jump_points.size
+    monkeypatch.setattr(makarov, "_CHUNK", rows * width)
+    for a_n in (0.0, Tuning(n=len(X1) + len(X0)).a_n, 0.3):
+        assert_streamed_matches_dense(F1, F0, grid, a_n)
+        assert_streamed_matches_dense(F1, F0, grid, a_n, ("upper",))
