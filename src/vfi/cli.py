@@ -46,7 +46,7 @@ def _env(name: str, cast, fallback):
         raise SystemExit(2)
 
 
-# Both thread pools start up to min(threads, work items) threads.
+# Every thread pool starts up to min(threads, work items) threads.
 MAX_THREADS = 4 * (os.cpu_count() or 1)
 
 
@@ -159,6 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="plug-in lower/upper bound functions")
     _two_sample_args(p)
+    p.add_argument("--threads", type=_threads)
     _add_common(p, with_bootstrap=False)
 
     p = sub.add_parser("band", help="uniform confidence band for one bound")
@@ -243,7 +244,7 @@ def _dump_replicates(run, path):
 
 def _cmd_bounds(args) -> int:
     X1, X0 = _load_pair(args)
-    pair = compute_bounds(X1, X0, step=args.grid_step)
+    pair = compute_bounds(X1, X0, step=args.grid_step, threads=args.threads)
     _write(bounds_to_csv(pair), args.output)
     return 0
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -162,20 +163,22 @@ def load_sample_csv(path, column=None, label: str | None = None) -> Sample:
     first column.  A string names a header cell when the first row has a
     non-numeric cell and holds that name; otherwise a string of digits is
     an index.  With an index, the first row is a header when its cell in
-    that column is not a number.
+    that column is not a number.  Rows whose cells are all blank are
+    skipped.
     """
     path = Path(path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    rows = [(i + 1, r) for i, r in enumerate(rows) if any(cell.strip() for cell in r)]
-    if not rows:
+    # the first row with a non-blank cell: a header or the first data row
+    start = next((i for i, r in enumerate(rows) if any(cell.strip() for cell in r)), None)
+    if start is None:
         raise CsvParseError(f"{path}: no data rows")
 
     col_idx = 0
-    names = [c.strip() for c in rows[0][1]]
+    names = [c.strip() for c in rows[start]]
     if isinstance(column, str) and column in names and not all(map(_is_number, names)):
         col_idx = names.index(column)
-        rows = rows[1:]
+        start += 1
     else:
         if isinstance(column, str):
             if not (column.isascii() and column.isdigit()):
@@ -186,10 +189,34 @@ def load_sample_csv(path, column=None, label: str | None = None) -> Sample:
         try:
             float(names[col_idx])
         except (ValueError, IndexError):
-            rows = rows[1:]
+            start += 1
 
+    values = _fast_column(rows[start:], col_idx)
+    if values is None:
+        values = _checked_column(path, rows, start, col_idx)
+    return Sample(values, label=label or path.stem)
+
+
+def _fast_column(rows: list[list[str]], col_idx: int) -> np.ndarray | None:
+    """Column ``col_idx`` of the non-empty ``rows`` as floats, converted in
+    one pass; None when a row lacks the column, a cell is not a finite
+    number (a whitespace-only row among them) or no row is left, for
+    ``_checked_column`` to report or skip row by row."""
+    try:
+        values = np.fromiter(map(float, map(itemgetter(col_idx), filter(None, rows))),
+                             dtype=float)
+    except (ValueError, IndexError):
+        return None
+    return values if values.size and np.isfinite(values).all() else None
+
+
+def _checked_column(path: Path, rows: list[list[str]], start: int, col_idx: int) -> np.ndarray:
+    """Column ``col_idx`` of ``rows[start:]`` row by row, skipping rows whose
+    cells are all blank and naming the line of the first bad cell."""
     values = []
-    for lineno, row in rows:
+    for lineno, row in enumerate(rows[start:], start + 1):
+        if not any(cell.strip() for cell in row):
+            continue
         if col_idx >= len(row):
             raise CsvParseError(f"{path}:{lineno}: missing column {col_idx}")
         cell = row[col_idx].strip()
@@ -201,4 +228,4 @@ def load_sample_csv(path, column=None, label: str | None = None) -> Sample:
             raise CsvParseError(f"{path}:{lineno}: not a finite number: {cell!r}")
     if not values:
         raise CsvParseError(f"{path}: no numeric rows")
-    return Sample(np.asarray(values), label=label or path.stem)
+    return np.asarray(values)

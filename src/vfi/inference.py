@@ -110,15 +110,17 @@ class _BandProblem:
 
 
 def _plugin(X1: Sample, X0: Sample, grid: Grid | None, step: float | None,
-            a_n: float, orientations: tuple[str, ...]):
+            a_n: float, orientations: tuple[str, ...], config: BootstrapConfig | None):
     """Near-argmax candidates of the given orientations, from one pass, and
     the clipped (lower, upper) plug-in bounds, from the scan behind `bounds`
-    output so that band centers match it bit for bit."""
+    output so that band centers match it bit for bit.  Both run their row
+    chunks on the config's threads."""
+    threads = config.threads if config else 1
     F1, F0 = ecdf_build(X1), ecdf_build(X0)
     if grid is None:
         grid = default_grid(support_bounds(X1, X0), step)
-    structure = MakarovStructure(F1, F0, grid, a_n, orientations)
-    return structure, np.clip(_scan(F1, F0, grid), 0.0, 1.0)
+    structure = MakarovStructure(F1, F0, grid, a_n, orientations, threads)
+    return structure, np.clip(_scan(F1, F0, grid, threads), 0.0, 1.0)
 
 
 def uniform_band(which: str, X1: Sample, X0: Sample, alpha: float = 0.05,
@@ -133,7 +135,7 @@ def uniform_band(which: str, X1: Sample, X0: Sample, alpha: float = 0.05,
     if which not in ("lower", "upper"):
         raise ValueError(f"band target must be 'lower' or 'upper', got {which!r}")
     tuning = tuning or Tuning(n=len(X1) + len(X0))
-    structure, (lower, upper) = _plugin(X1, X0, grid, step, tuning.a_n, (which,))
+    structure, (lower, upper) = _plugin(X1, X0, grid, step, tuning.a_n, (which,), config)
     center = lower if which == "lower" else upper
     return _band(which, X1, X0, structure, center, alpha, config, tuning)
 
@@ -144,7 +146,8 @@ def bound_bands(X1: Sample, X0: Sample, alpha: float = 0.05,
     """The lower and upper ``uniform_band`` at the same level, sharing one
     candidate pass and one bound scan."""
     tuning = tuning or Tuning(n=len(X1) + len(X0))
-    structure, (lower, upper) = _plugin(X1, X0, grid, step, tuning.a_n, ("lower", "upper"))
+    structure, (lower, upper) = _plugin(X1, X0, grid, step, tuning.a_n, ("lower", "upper"),
+                                        config)
     return (_band("lower", X1, X0, structure, lower, alpha, config, tuning),
             _band("upper", X1, X0, structure, upper, alpha, config, tuning))
 

@@ -12,6 +12,10 @@ one rank primitive, ``_ranks``."""
 from __future__ import annotations
 
 import io
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,24 +70,56 @@ class BoundPair:
     grid: Grid
 
 
+def _chunk_rows(grid: Grid, width: int) -> int:
+    """Grid rows per chunk, so that row-by-width work arrays stay near _CHUNK cells."""
+    return min(len(grid), max(1, _CHUNK // max(1, width)))
+
+
 def _chunks(grid: Grid, width: int):
     """Slices of grid rows whose row-by-width work arrays stay near _CHUNK cells."""
-    rows = max(1, _CHUNK // max(1, width))
+    rows = _chunk_rows(grid, width)
     for s in range(0, len(grid), rows):
         yield slice(s, s + rows)
 
 
-def _ranks(j1: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """#j1 < row and #j1 <= row for every entry of ``rows``: one
-    searchsorted, then a tie test, since j1 is strictly increasing and so
-    holds at most one value equal to a row entry, at position #j1 < row.
-    Where that position is past the end, every j1 is below the row, so the
-    clipped take finds no tie."""
+def _map_chunks(work, grid: Grid, width: int, threads: int = 1):
+    """``work(s)`` for each slice ``s`` of ``_chunks(grid, width)``, yielded
+    in chunk order.  With more than one thread and more than one chunk they
+    run on a pool of ``threads`` threads, submitted at most ``threads`` ahead
+    of the one yielded, so a consumer that stops early has started at most
+    ``threads`` chunks past the last it read.  ``work`` may write only its
+    own rows of shared arrays; numpy's searchsorted, takes and reductions
+    release the GIL, so the chunks overlap."""
+    if threads < 1:
+        raise ValueError("thread count must be at least 1")
+    chunks = list(_chunks(grid, width))
+    if threads == 1 or len(chunks) == 1:
+        yield from map(work, chunks)
+        return
+    with ThreadPoolExecutor(threads) as pool:
+        ahead = deque()
+        for s in chunks:
+            ahead.append(pool.submit(work, s))
+            if len(ahead) > threads:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+
+
+def _ranks(j1: np.ndarray, rows: np.ndarray, scratch=None) -> tuple[np.ndarray, np.ndarray]:
+    """#j1 < row and a mask of the rows that equal a j1 value, for every
+    entry of ``rows``; #j1 <= row is their sum.  One searchsorted, then a
+    tie test, since j1 is strictly increasing and so holds at most one value
+    equal to a row entry, at position #j1 < row.  Where that position is
+    past the end, every j1 is below the row, so the clipped take finds no
+    tie.  ``scratch`` is an optional pair of float and bool arrays of the
+    shape of ``rows`` for the take and the mask."""
+    vals, ties = scratch or (None, None)
     lt = np.searchsorted(j1, rows)
-    return lt, lt + (j1.take(lt, mode="clip") == rows)
+    return lt, np.equal(j1.take(lt, mode="clip", out=vals), rows, out=ties)
 
 
-def _scan(F1: StepCDF, F0: StepCDF, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+def _scan(F1: StepCDF, F0: StepCDF, grid: Grid, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Per grid x, the max of F1-part - F0-part and the min of (1 - F0-part)
     + F1-part over the candidates that dominate the rest of the family of
     ``MakarovStructure`` (every event's right value and left limit), read
@@ -99,17 +135,32 @@ def _scan(F1: StepCDF, F0: StepCDF, grid: Grid) -> tuple[np.ndarray, np.ndarray]
     dominated by a kept one: the result is bit-identical to a reduce over
     the whole family, and to the ECDF of the shifted sample X0 + x.
     Comparing j1 - x against j0 instead can flip an ordering at rounding
-    scale and pick up a different piece.
+    scale and pick up a different piece.  Each chunk of grid rows writes
+    only its own rows, so the result does not depend on ``threads``.
     """
     j1, j0 = F1.jump_points, F0.jump_points
     c1 = np.concatenate(([0.0], F1.cum_probs))
     c0 = np.concatenate(([0.0], F0.cum_probs))
+    before = c0[:-1]  # F0-part just before each control jump
     after = 1.0 - c0[1:]  # 1 - F0-part just after each control jump
     lower, upper = np.empty((2, len(grid)))
-    for s in _chunks(grid, j0.size):
-        lt, le = _ranks(j1, j0[None, :] + grid.points[s, None])
-        lower[s] = (c1[lt] - c0[:-1]).max(axis=1)
-        upper[s] = (after + c1[le]).min(axis=1)
+    shape = (_chunk_rows(grid, j0.size), j0.size)
+    local = threading.local()  # each thread's chunk buffers, reused through out=
+
+    def scan(s):
+        if not hasattr(local, "rows"):
+            local.rows, local.vals = np.empty((2,) + shape)
+            local.ties = np.empty(shape, dtype=bool)
+        m = lower[s].size
+        rows = np.add(j0, grid.points[s, None], out=local.rows[:m])
+        vals = local.vals[:m]
+        lt, ties = _ranks(j1, rows, (vals, local.ties[:m]))
+        np.subtract(c1.take(lt, mode="clip", out=vals), before, out=vals).max(axis=1, out=lower[s])
+        lt += ties
+        np.add(c1.take(lt, mode="clip", out=vals), after, out=vals).min(axis=1, out=upper[s])
+
+    for _ in _map_chunks(scan, grid, j0.size, threads):
+        pass
     return lower, upper
 
 
@@ -149,7 +200,8 @@ def _index_pairs(j1: np.ndarray, j0: np.ndarray, xs: np.ndarray) -> tuple[np.nda
     # row is non-decreasing (j0 is increasing and rounding monotone),
     # so its ties come only from rounding in the shift
     rows = j0[None, :] + xs[:, None]
-    lt_j, le_j = _ranks(j1, rows)
+    lt_j, ties = _ranks(j1, rows)
+    le_j = lt_j + ties
     ia[:, n1:M], ia[:, M + n1:] = le_j, lt_j
     # runs of equal values in each row: #row < row is the start of
     # the run, #row <= row its end (found from the right)
@@ -183,13 +235,15 @@ class MakarovStructure:
     values and keeps, per orientation ("lower": the objective, "upper": its
     negation), only the cells within ``a_n`` of their row's maximum, with
     their index pairs.  Memory is O(chunk + kept cells); the whole K x 2M
-    candidate matrix is never held.  Bootstrap directions jump at the same
-    event points, so any reweighting of the same observations is evaluated
-    exactly through the kept index pairs.
+    candidate matrix is never held.  With ``threads`` > 1 the chunks run on
+    a thread pool and their cells are concatenated in chunk order, so the
+    result does not depend on the thread count.  Bootstrap directions jump
+    at the same event points, so any reweighting of the same observations
+    is evaluated exactly through the kept index pairs.
     """
 
     def __init__(self, F1: StepCDF, F0: StepCDF, grid: Grid, a_n: float,
-                 orientations=ORIENTATIONS):
+                 orientations=ORIENTATIONS, threads: int = 1):
         unknown = set(orientations) - set(ORIENTATIONS)
         if unknown:
             raise ValueError(f"unknown orientation {unknown.pop()!r}")
@@ -200,26 +254,34 @@ class MakarovStructure:
         M = j1.size + j0.size
         width = 2 * M
         wanted = [o for o in ORIENTATIONS if o in orientations]
-        parts = {o: [] for o in wanted}
         row_max = {o: np.empty(len(grid)) for o in wanted}
-        kept = 0
-        for s in _chunks(grid, M):
+
+        def keep_chunk(s):
             ia, ib = _index_pairs(j1, j0, grid.points[s])
             values = self.c1[ia]
             values -= self.c0[ib]
+            out = []
             for o in wanted:  # "lower" first: "upper" negates the values in place
                 if o == "upper":
                     np.negative(values, out=values)
                 top = row_max[o][s] = values.max(axis=1)
                 keep = values >= (top - a_n)[:, None]
                 pos = np.flatnonzero(keep)
-                kept += pos.size
+                out.append((pos + s.start * width, keep.sum(axis=1),
+                            values.take(pos), ia.take(pos), ib.take(pos)))
+            return out
+
+        parts = {o: [] for o in wanted}
+        kept = 0
+        with closing(_map_chunks(keep_chunk, grid, M, threads)) as chunks:
+            for chunk in chunks:  # in chunk order, whatever the thread count
+                for o, part in zip(wanted, chunk):
+                    parts[o].append(part)
+                    kept += part[0].size
                 if kept > MAX_ARGMAX_CELLS:
                     raise ArgmaxBudgetError(
                         f"slack a_n={a_n!r} keeps more than {MAX_ARGMAX_CELLS} "
                         "near-argmax candidate cells, the limit")
-                parts[o].append((pos + s.start * width, keep.sum(axis=1),
-                                 values.take(pos), ia.take(pos), ib.take(pos)))
         self._kept = {}
         for o in wanted:
             cells, counts, vals, ia, ib = (np.concatenate(p) for p in zip(*parts.pop(o)))
@@ -319,11 +381,15 @@ def default_grid(support: SupportInfo, step: float | None = None) -> Grid:
     return Grid(points=points, step=float(step))
 
 
-def compute_bounds(X1: Sample, X0: Sample, grid: Grid | None = None, step: float | None = None) -> BoundPair:
+def compute_bounds(X1: Sample, X0: Sample, grid: Grid | None = None, step: float | None = None,
+                   threads: int = 1) -> BoundPair:
+    """Plug-in lower and upper bounds on ``grid`` (by default the padded
+    ``default_grid``), with the bound scan's row chunks on ``threads``
+    threads; the result does not depend on the thread count."""
     F1, F0 = ecdf_build(X1), ecdf_build(X0)
     if grid is None:
         grid = default_grid(support_bounds(X1, X0), step)
-    lower, upper = _scan(F1, F0, grid)
+    lower, upper = _scan(F1, F0, grid, threads)
     return BoundPair(lower=_clamped(lower, grid), upper=_clamped(upper, grid), grid=grid)
 
 

@@ -48,11 +48,11 @@ def dense_joint(sets):
     return mask.reshape(sets.per_x.shape)
 
 
-def assert_streamed_matches_dense(F1, F0, grid, a_n, orientations=("lower", "upper")):
+def assert_streamed_matches_dense(F1, F0, grid, a_n, orientations=("lower", "upper"), threads=1):
     """The cells ``MakarovStructure`` keeps, their values, row maxima and
     index pairs equal those of the dense objective, bit for bit."""
     dense = DenseStructure(F1, F0, grid)
-    streamed = MakarovStructure(F1, F0, grid, a_n, orientations)
+    streamed = MakarovStructure(F1, F0, grid, a_n, orientations, threads)
     for o in orientations:
         want = NearArgmax.of(dense.objective(o), a_n)
         got = streamed.near_argmax(o)

@@ -224,7 +224,7 @@ def test_c09_cli_determinism(tmp_path):
         "simulate": ["simulate", "normal", "--n", "40", "--R", "19", "--reps", "2",
                      "--deltas", "0", "--seed", "3"],
     }
-    threaded = {"band", "cdf-band", "dominance-test", "simulate"}
+    threaded = {"bounds", "band", "cdf-band", "dominance-test", "simulate"}
     for name, argv in commands.items():
         outs = set()
         for threads in ("1", "4"):

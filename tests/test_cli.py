@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from vfi.cli import run_cli
 from vfi.simulate import ExperimentConfig
 
 CLI = [sys.executable, "-m", "vfi.cli"]
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(*args, env_extra=None, **kw):
@@ -52,6 +54,22 @@ class TestBounds:
         for ln in r.stdout.strip().splitlines()[1:]:
             for cell in ln.split(","):
                 assert repr(float(cell)) == cell
+
+    def test_byte_identical_across_runs_and_threads(self, monkeypatch, tmp_path):
+        args = ["bounds", "--treated", str(GOLDEN / "inputs" / "treated.csv"),
+                "--control", str(GOLDEN / "inputs" / "control.csv")]
+        golden = (GOLDEN / "bounds.csv").read_text()
+        outs = set()
+        for threads in ("1", "4"):
+            for _ in range(2):
+                outs.add(run(*args, "--threads", threads).stdout)
+        assert outs == {golden}
+        # these inputs fit one chunk; with one grid row per chunk the pool runs
+        monkeypatch.setattr(makarov, "_CHUNK", 1)
+        for threads in ("1", "4"):
+            out = tmp_path / f"bounds_{threads}.csv"
+            assert run_cli(args + ["--threads", threads, "--output", str(out)]) == 0
+            assert out.read_text() == golden
 
 
 class TestBand:
@@ -207,6 +225,14 @@ class TestErrors:
             rc = run_cli(["band", "--treated", data["treated"], "--control", data["control"]])
             monkeypatch.delenv(name)
             assert rc == 2 and name in capsys.readouterr().err, name
+
+    def test_bounds_bad_threads_exit_2(self, data, capsys, monkeypatch):
+        args = ["bounds", "--treated", data["treated"], "--control", data["control"]]
+        assert run_cli(args + ["--threads", "0"]) == 2
+        assert "--threads" in capsys.readouterr().err
+        monkeypatch.setenv("VFI_THREADS", "x")
+        assert run_cli(args) == 2
+        assert "VFI_THREADS" in capsys.readouterr().err
 
     def test_simulate_threads_0_exit_2(self):
         # it used to run and exit 0

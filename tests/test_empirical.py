@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from vfi import empirical
 from vfi.empirical import (
     CsvParseError,
     Sample,
@@ -207,3 +208,29 @@ class TestCsvLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_sample_csv(tmp_path / "nope.csv")
+
+    @pytest.mark.parametrize("text, column, fast", [
+        pytest.param("1.5\n\n2.5\n\n\n-3\n", None, True, id="blank-lines"),
+        pytest.param("1.5\n  \n2.5\n\t,  \n-3\n", None, False, id="whitespace-only-lines"),
+        pytest.param("value\n3\n\n4\n", None, True, id="header"),
+        pytest.param("y,earnings\n0,100\n\n1,250.5\n", "1", True, id="index-past-header"),
+        pytest.param("9,1.5\n9, 2.5 \n9,-3\n", 1, True, id="index-padded-cells"),
+        pytest.param("1_000\n2e3\n-0.0\n", None, True, id="float-spellings"),
+    ])
+    def test_fast_and_checked_paths_agree(self, tmp_path, monkeypatch, text, column, fast):
+        p = tmp_path / "k.csv"
+        p.write_text(text)
+        taken = []
+
+        def fast_column(rows, col_idx):
+            values = fast_column_impl(rows, col_idx)
+            taken.append(values is not None)
+            return values
+
+        fast_column_impl = empirical._fast_column
+        monkeypatch.setattr(empirical, "_fast_column", fast_column)
+        got = load_sample_csv(p, column=column).values
+        assert taken == [fast]
+        monkeypatch.setattr(empirical, "_fast_column", lambda rows, col_idx: None)
+        want = load_sample_csv(p, column=column).values
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]  # -0.0 too

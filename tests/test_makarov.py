@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from vfi import makarov
 from vfi.empirical import Sample, ecdf_build
 from vfi.makarov import (
+    ORIENTATIONS,
     ArgmaxBudgetError,
     GridBudgetError,
     MakarovStructure,
@@ -176,6 +177,26 @@ class TestScanOracle:
             assert (lower[k], upper[k]) == brute_extremes(ecdf_build(X1), X0, x), (k, x)
 
 
+def tie_heavy_lattice_cases(count):
+    """(F1, F0, grid) on the 0.1 lattice, where shifted control jumps
+    collide with treated jumps and with each other."""
+    rng = np.random.default_rng(20)
+    for _ in range(count):
+        X1 = Sample(np.round(rng.normal(0, 1, rng.integers(1, 25)), 1))
+        X0 = Sample(np.round(rng.normal(0.2, 1, rng.integers(1, 25)), 1))
+        yield ecdf_build(X1), ecdf_build(X0), default_grid(support_bounds(X1, X0), 0.1)
+
+
+def ulp_spaced_case():
+    """Control jumps 1 ulp apart at 1.0 become ties at 8.0 (ulp eight times
+    as large) once shifted by x = 7.0; treated jumps sit among them."""
+    X0 = Sample(1.0 + np.arange(40) * np.spacing(1.0))
+    X1 = Sample(np.concatenate((8.0 + np.arange(-10, 30) * np.spacing(8.0),
+                                np.random.default_rng(21).normal(8.0, 1.0, 10))))
+    xs = 7.0 + np.arange(-20, 21) * np.spacing(7.0)
+    return ecdf_build(X1), ecdf_build(X0), Grid(points=xs, step=float(np.spacing(7.0)))
+
+
 class TestRowKernel:
     """The shared candidate-index kernel against the per-row searchsorted
     reference, bit for bit: ``_scan`` directly, and ``_index_pairs``
@@ -183,23 +204,12 @@ class TestRowKernel:
     ``MakarovStructure`` keeps, chunk by chunk, against the dense ones."""
 
     def test_tie_heavy_lattice(self):
-        rng = np.random.default_rng(20)
-        for _ in range(60):
-            X1 = Sample(np.round(rng.normal(0, 1, rng.integers(1, 25)), 1))
-            X0 = Sample(np.round(rng.normal(0.2, 1, rng.integers(1, 25)), 1))
-            grid = default_grid(support_bounds(X1, X0), 0.1)
-            assert_kernel_matches_reference(ecdf_build(X1), ecdf_build(X0), grid)
+        for F1, F0, grid in tie_heavy_lattice_cases(60):
+            assert_kernel_matches_reference(F1, F0, grid)
 
     def test_ulp_spaced_control_collides_after_shift(self):
-        # control jumps 1 ulp apart at 1.0 become ties at 8.0 (ulp eight
-        # times as large) once shifted by x = 7.0; treated jumps sit among them
-        X0 = Sample(1.0 + np.arange(40) * np.spacing(1.0))
-        X1 = Sample(np.concatenate((8.0 + np.arange(-10, 30) * np.spacing(8.0),
-                                    np.random.default_rng(21).normal(8.0, 1.0, 10))))
-        xs = 7.0 + np.arange(-20, 21) * np.spacing(7.0)
-        grid = Grid(points=xs, step=float(np.spacing(7.0)))
-        F1, F0 = ecdf_build(X1), ecdf_build(X0)
-        rows = F0.jump_points[None, :] + xs[:, None]
+        F1, F0, grid = ulp_spaced_case()
+        rows = F0.jump_points[None, :] + grid.points[:, None]
         assert np.all(np.any(np.diff(rows, axis=1) == 0, axis=1))
         assert np.any(np.isin(rows, F1.jump_points))
         assert_kernel_matches_reference(F1, F0, grid)
@@ -221,6 +231,49 @@ class TestRowKernel:
             assert rows == 1 or len(grid) % rows, "the last chunk should be short"
             monkeypatch.setattr(makarov, "_CHUNK", rows * width)
             assert_kernel_matches_reference(F1, F0, grid)
+
+
+class TestThreadedChunks:
+    """The row-chunk passes on a thread pool against the serial ones, bit
+    for bit, for several thread counts and chunk sizes (1, 3 and 7 rows;
+    the last chunk is short), on the tie-heavy samples of TestRowKernel."""
+
+    @pytest.fixture(params=["lattice", "ulp"])
+    def case(self, request):
+        if request.param == "ulp":
+            return ulp_spaced_case()
+        return list(tie_heavy_lattice_cases(3))[-1]
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_scan(self, case, rows, threads, monkeypatch):
+        F1, F0, grid = case
+        lower, upper = makarov._scan(F1, F0, grid)
+        monkeypatch.setattr(makarov, "_CHUNK", rows * F0.jump_points.size)
+        assert len(list(makarov._chunks(grid, F0.jump_points.size))) > threads
+        got = makarov._scan(F1, F0, grid, threads)
+        assert_array_equal(got[0], lower)
+        assert_array_equal(got[1], upper)
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_structure(self, case, rows, threads, monkeypatch):
+        F1, F0, grid = case
+        serial = MakarovStructure(F1, F0, grid, a_n=0.15)
+        monkeypatch.setattr(makarov, "_CHUNK", rows * (F1.jump_points.size + F0.jump_points.size))
+        got = MakarovStructure(F1, F0, grid, a_n=0.15, threads=threads)
+        for o in ORIENTATIONS:
+            for field in ("cells", "counts", "values", "row_max"):
+                assert_array_equal(getattr(got.near_argmax(o), field),
+                                   getattr(serial.near_argmax(o), field), err_msg=f"{o} {field}")
+            for name, a, b in zip("ia ib".split(), got.cell_indices(o), serial.cell_indices(o)):
+                assert_array_equal(a, b, err_msg=f"{o} {name}")
+        assert_streamed_matches_dense(F1, F0, grid, a_n=0.15, threads=threads)
+
+    def test_thread_count_checked(self):
+        F1, F0, grid = ulp_spaced_case()
+        with pytest.raises(ValueError, match="thread count"):
+            makarov._scan(F1, F0, grid, 0)
 
 
 class TestStructure:
@@ -248,7 +301,10 @@ class TestStructure:
             cells = s.cell_indices(o)
             assert_array_equal(s.evaluate(s.c1, s.c0, cells), sign * s.near_argmax(o).values)
 
-    def test_argmax_cell_budget_is_checked_per_chunk(self, monkeypatch):
+    @staticmethod
+    def _budget_case(monkeypatch):
+        """A grid of one-row chunks, a limit of three rows' worth of cells
+        and ``_index_pairs`` counting the rows it builds."""
         X1, X0 = random_pair(np.random.default_rng(13))
         F1, F0 = ecdf_build(X1), ecdf_build(X0)
         grid = default_grid(support_bounds(X1, X0), 0.1)
@@ -266,12 +322,24 @@ class TestStructure:
 
         index_pairs = makarov._index_pairs
         monkeypatch.setattr(makarov, "_index_pairs", counted)
+        return F1, F0, grid, width, limit, rows
+
+    def test_argmax_cell_budget_is_checked_per_chunk(self, monkeypatch):
+        F1, F0, grid, width, limit, rows = self._budget_case(monkeypatch)
         with pytest.raises(ArgmaxBudgetError, match=f"{limit} near-argmax"):
             MakarovStructure(F1, F0, grid, a_n=10.0)
         assert len(rows) == 4 < len(grid)
         # the limit itself is allowed: one orientation keeps 2M cells a row
         monkeypatch.setattr(makarov, "MAX_ARGMAX_CELLS", len(grid) * 2 * width)
         MakarovStructure(F1, F0, grid, a_n=10.0, orientations=("lower",))
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_argmax_cell_budget_under_threads(self, monkeypatch, threads):
+        # the pool runs at most `threads` chunks past the one that trips the limit
+        F1, F0, grid, width, limit, rows = self._budget_case(monkeypatch)
+        with pytest.raises(ArgmaxBudgetError, match=f"{limit} near-argmax"):
+            MakarovStructure(F1, F0, grid, a_n=10.0, threads=threads)
+        assert 4 <= len(rows) <= 4 + threads < len(grid)
 
     def test_objective_rejects_unknown_orientation(self):
         X1, X0 = random_pair(np.random.default_rng(11))
