@@ -1,12 +1,15 @@
 """Exchangeable bootstrap with deterministic per-replicate RNG streams.
 
 Replicate r of sample s always uses the counter-based stream keyed by
-(seed, s, r), so results are bit-identical regardless of execution order
-or worker count.
+(seed, s, r), so results are bit-identical regardless of execution order,
+block size or worker count.  Replicates are drawn and evaluated in blocks
+of consecutive r; each thread keeps one Philox generator and resets it to
+the start of every stream it draws.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -23,6 +26,7 @@ __all__ = [
 ]
 
 SCHEMES = ("multinomial", "bayesian")
+BLOCK_CELLS = 2**15  # cap on the cells of one block's work arrays
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,17 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _mix_array(z: np.ndarray) -> np.ndarray:
+    """``_mix`` of every word of a uint64 array, in wrapping uint64 arithmetic."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
 def derive_seed(seed: int, *ids: int) -> int:
     """64-bit seed keyed by (seed, *ids) through a splitmix64 chain, so that,
     unlike an arithmetic key, structured id tuples do not collide."""
@@ -84,20 +99,66 @@ def _key(k: int) -> np.ndarray:
     return np.array(words, dtype=np.uint64)
 
 
+def _replicate_seeds(seed: int, s: int, R: int) -> np.ndarray:
+    """``derive_seed(seed, s, r)`` for r = 0 .. R - 1, in one pass of
+    uint64 array arithmetic: the chain's last link, mixed over every r."""
+    k = _mix_array(np.arange(R, dtype=np.uint64))
+    k ^= np.uint64(derive_seed(seed, s))
+    return _mix_array(k)
+
+
+def _keys(k: np.ndarray) -> np.ndarray:
+    """``_key`` of every seed in the uint64 array k, as a (k.size, 2) array."""
+    words = np.stack((k, _mix_array(k)), axis=1)
+    mixed = (words >> np.uint64(63)).sum(axis=1) == 1
+    if mixed.any():
+        rounded = words[mixed].astype(np.float64)
+        rounded[rounded == 2.0**64] = 0.0
+        words[mixed] = rounded.astype(np.uint64)
+    return words
+
+
 def stream(seed: int, *ids: int) -> np.random.Generator:
     """Independent counter-based stream keyed by (seed, *ids)."""
     return np.random.Generator(np.random.Philox(key=_key(derive_seed(seed, *ids))))
 
 
-def draw_weights(n: int, scheme: str, rng: np.random.Generator) -> np.ndarray:
+_local = threading.local()
+_ZEROS = np.zeros(4, dtype=np.uint64)
+
+
+def _reset_stream(key: np.ndarray) -> np.random.Generator:
+    """This thread's generator, reset to the start of the stream with
+    Philox key ``key``: the state of a fresh ``Philox(key=key)`` (counter
+    0, empty buffer, no spare 32-bit word), without building one."""
+    gen = getattr(_local, "generator", None)
+    if gen is None:
+        gen = _local.generator = np.random.Generator(np.random.Philox(key=key))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": key},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return gen
+
+
+def draw_weights(n: int, scheme: str, rng: np.random.Generator,
+                 out: np.ndarray | None = None, pvals: np.ndarray | None = None) -> np.ndarray:
+    """One weight vector of length n, written to ``out`` when given.
+    ``pvals`` is the multinomial's uniform ``np.full(n, 1 / n)``, for a
+    caller that builds it once for many draws."""
     if n < 1:
         raise ValueError("cannot draw weights for an empty sample")
+    if out is None:
+        out = np.empty(n)
     if scheme == "multinomial":
-        return rng.multinomial(n, np.full(n, 1.0 / n)).astype(float)
-    if scheme == "bayesian":
-        e = rng.standard_exponential(n)
-        return e * (n / e.sum())
-    raise ValueError(f"unknown weight scheme {scheme!r}")
+        out[...] = rng.multinomial(n, np.full(n, 1.0 / n) if pvals is None else pvals)
+    elif scheme == "bayesian":
+        rng.standard_exponential(n, out=out)
+        out *= n / out.sum()
+    else:
+        raise ValueError(f"unknown weight scheme {scheme!r}")
+    return out
 
 
 def critical_value(replicates: np.ndarray, alpha: float) -> float:
@@ -111,29 +172,47 @@ def critical_value(replicates: np.ndarray, alpha: float) -> float:
     return float(reps[k - 1])
 
 
-def bootstrap_statistic_distribution(problem, config: BootstrapConfig) -> BootstrapRun:
+def bootstrap_statistic_distribution(problem, config: BootstrapConfig):
     """Evaluate the replicate statistic over R independent weight draws.
 
-    ``problem`` exposes ``sample_sizes`` (one entry per underlying sample)
-    and ``replicate_stat(weights_list) -> float`` evaluating the derivative
-    estimator at the bootstrap direction built from those weights.
+    ``problem`` exposes ``sample_sizes`` (one entry per underlying sample),
+    ``replicate_cells`` (the cells one replicate takes in its largest work
+    array) and ``replicate_stat(weights)``: given one (B, n_s) block of
+    weights per sample, row b of each drawn for the same replicate, it
+    returns the B replicate statistics, or a (B, k) array of k statistics
+    per replicate.  The result is one ``BootstrapRun``, or a tuple of k
+    runs, one per column.
+
+    Replicates run in blocks of consecutive r, each with at most
+    ``BLOCK_CELLS`` cells per work array; with more than one thread the
+    blocks run on a pool.  Every row is drawn from its own stream, so the
+    replicates do not depend on the block size or the thread count.
     """
     sizes = list(problem.sample_sizes)
+    R = config.R
+    keys = [_keys(_replicate_seeds(config.seed, s, R)) for s in range(len(sizes))]
+    pvals = [np.full(n, 1.0 / n) if config.scheme == "multinomial" else None for n in sizes]
+    rows = max(1, BLOCK_CELLS // max(problem.replicate_cells, *sizes))
 
-    def one(r: int) -> float:
-        ws = [
-            draw_weights(n, config.scheme, stream(config.seed, s, r))
-            for s, n in enumerate(sizes)
-        ]
+    def block(start: int) -> np.ndarray:
+        rs = range(start, min(start + rows, R))
+        ws = []
+        for n, key, p in zip(sizes, keys, pvals):
+            w = np.empty((len(rs), n))
+            for row, r in zip(w, rs):
+                draw_weights(n, config.scheme, _reset_stream(key[r]), out=row, pvals=p)
+            ws.append(w)
         return problem.replicate_stat(ws)
 
-    if config.threads > 1:
+    starts = range(0, R, rows)
+    if config.threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            reps = np.fromiter(pool.map(one, range(config.R)), dtype=float, count=config.R)
+            reps = np.concatenate(list(pool.map(block, starts)))
     else:
-        reps = np.fromiter((one(r) for r in range(config.R)), dtype=float, count=config.R)
-    return BootstrapRun(
-        replicates=reps,
-        critical_value=critical_value(reps, config.alpha),
-        config=config,
+        reps = np.concatenate([block(s) for s in starts])
+    runs = tuple(
+        BootstrapRun(replicates=col, critical_value=critical_value(col, config.alpha),
+                     config=config)
+        for col in ([reps] if reps.ndim == 1 else reps.T.copy())
     )
+    return runs[0] if reps.ndim == 1 else runs

@@ -114,37 +114,53 @@ def eps_argmax(f, tuning: Tuning) -> ArgmaxSets:
     )
 
 
-def _cell_values(h, sets: ArgmaxSets) -> np.ndarray:
-    """h on the per-x cells, from h on every candidate (the objective's
-    shape) or from h already restricted to ``sets.cells``."""
+def _cell_values(h, sets: ArgmaxSets, block: bool) -> np.ndarray:
+    """h on the per-x cells as a (B, cells) block: from one direction on
+    every candidate (the objective's shape) or on ``sets.cells``, or, with
+    ``block``, from B directions on ``sets.cells``, one per row."""
     hv = h.values if isinstance(h, GriddedObjective) else np.asarray(h, dtype=float)
-    if hv.shape == (len(sets.grid), sets.width):
-        return hv.ravel()[sets.cells]
-    if hv.shape == sets.cells.shape:
-        return hv
+    if block:
+        if hv.ndim == 2 and hv.shape[1] == sets.cells.size:
+            return hv
+    elif hv.shape == (len(sets.grid), sets.width):
+        return hv.ravel()[sets.cells][None]
+    elif hv.shape == sets.cells.shape:
+        return hv[None]
     raise ValueError("direction does not share the objective's candidate structure")
 
 
 def _row_sup(hv: np.ndarray, sets: ArgmaxSets) -> np.ndarray:
-    return np.maximum.reduceat(hv, sets.starts)
+    return np.maximum.reduceat(hv, sets.starts, axis=1)
 
 
-def derivative_estimate(kind: StatKind, sets: ArgmaxSets, h) -> float:
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """The sum of each row, in the pairwise order numpy uses for a 1-D
+    array; it keeps that order along an axis only when the rows are
+    contiguous, and a column selection can return them column-major."""
+    return np.ascontiguousarray(terms).sum(axis=1)
+
+
+def derivative_estimate(kind: StatKind, sets: ArgmaxSets, h, block: bool = False):
     """Directional-derivative value of lambda_j at the objective, in
     direction h, using the estimated argmax sets.  h is given on every
-    candidate or only on ``sets.cells``."""
-    hv = _cell_values(h, sets)
+    candidate or only on ``sets.cells``.  With ``block``, h is a (B, cells)
+    block of B directions on ``sets.cells`` and the result an array of
+    their B values, each the same bits as its row alone would give."""
+    hv = _cell_values(h, sets, block)
     row = _row_sup(hv, sets)
     if kind.j == 1:
         # second branch: sup_x inf over the per-x set of (-h)
-        return float(max(row.max(), -row.min()))
-    if kind.j == 2:
-        return float(max(hv[sets.joint].max(), 0.0))
-    w = sets.grid.rect_weights()
-    if kind.j == 3:
-        return float(np.sum(np.abs(row) ** kind.p * w) ** (1.0 / kind.p))
-    pos = np.maximum(row, 0.0)
-    return float(np.sum(pos[sets.contact] ** kind.p * w[sets.contact]) ** (1.0 / kind.p))
+        out = np.maximum(row.max(axis=1), -row.min(axis=1))
+    elif kind.j == 2:
+        out = np.maximum(hv[:, sets.joint].max(axis=1), 0.0)
+    else:
+        w = sets.grid.rect_weights()
+        if kind.j == 3:
+            terms = np.abs(row) ** kind.p * w
+        else:
+            terms = np.maximum(row[:, sets.contact], 0.0) ** kind.p * w[sets.contact]
+        out = np.array([total ** (1.0 / kind.p) for total in _row_sums(terms)])
+    return out if block else float(out[0])
 
 
 def dominance_derivative_estimate(
@@ -154,23 +170,27 @@ def dominance_derivative_estimate(
     hA,
     hB,
     sign: float = 1.0,
-) -> float:
+    block: bool = False,
+):
     """Derivative of the one-sided L2 dominance statistic.
 
     hA is the direction on the lower-bound objective of the A-vs-control
     pair; hB the direction on the (negated) upper-bound objective of the
     B-vs-control pair; each is given on every candidate or only on its
-    sets' ``cells``.  ``contact`` restricts integration to the estimated
-    region where the population gap is zero.  ``sign`` flips the integrand
-    for the reversed orientation of the test.
+    sets' ``cells``, or, with ``block``, as (B, cells) blocks of B
+    directions, for which the result is an array of B values.
+    ``contact`` restricts integration to the estimated region where the
+    population gap is zero.  ``sign`` flips the integrand for the reversed
+    orientation of the test.
     """
     if not setsA.grid.same_as(setsB.grid):
         raise ValueError("argmax sets live on different grids")
     contact = np.asarray(contact, dtype=bool)
     if not contact.any():
         contact = np.ones(len(setsA.grid), dtype=bool)
-    rowA = _row_sup(_cell_values(hA, setsA), setsA)
-    rowB = _row_sup(_cell_values(hB, setsB), setsB)
-    integrand = np.maximum(sign * (rowA + rowB), 0.0)
-    w = setsA.grid.rect_weights()
-    return float(np.sqrt(np.sum(integrand[contact] ** 2 * w[contact])))
+    rowA = _row_sup(_cell_values(hA, setsA, block), setsA)
+    rowB = _row_sup(_cell_values(hB, setsB, block), setsB)
+    integrand = np.maximum(sign * (rowA + rowB)[:, contact], 0.0)
+    w = setsA.grid.rect_weights()[contact]
+    out = np.sqrt(_row_sums(integrand ** 2 * w))
+    return out if block else float(out[0])

@@ -24,11 +24,11 @@ from .derivative import (
 )
 from .empirical import Sample, ecdf_build
 from .makarov import (
+    ORIENTATIONS,
     MakarovStructure,
     _scan,
     SupportInfo,
     default_grid,
-    lower_bound,
     support_bounds,
     upper_bound,
 )
@@ -80,47 +80,51 @@ def _block_starts(sample: Sample) -> np.ndarray:
 
 def _cum_from_weights(w: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
     """Cumulative mass array (leading zero) of the reweighted sample, on
-    the same unique-value blocks as the plug-in ECDF."""
-    mass = np.add.reduceat(w, starts)
-    return np.concatenate(([0.0], np.cumsum(mass) / n))
+    the same unique-value blocks as the plug-in ECDF; for a (B, n) block
+    of weight rows, one array per row."""
+    mass = np.add.reduceat(w, starts, axis=-1)
+    cum = np.zeros(mass.shape[:-1] + (mass.shape[-1] + 1,))
+    np.cumsum(mass, axis=-1, out=cum[..., 1:])
+    cum[..., 1:] /= n
+    return cum
+
+
+def _directions(structure: MakarovStructure, d1: np.ndarray, d0: np.ndarray,
+                cells, base: np.ndarray, scale: float) -> np.ndarray:
+    """scale * (g - base) on ``cells`` for each row of the cumulative blocks."""
+    h = structure.evaluate(d1, d0, cells)
+    h -= base
+    h *= scale
+    return h
 
 
 class _BandProblem:
-    """Bootstrap problem for one bound function's sup-norm statistic."""
+    """Bootstrap problem for the sup-norm statistics of the bound functions
+    of ``orientations``, all read from the same draws: one column each."""
 
     def __init__(self, X1: Sample, X0: Sample, structure: MakarovStructure,
-                 which: str, sets: ArgmaxSets, r_n: float):
+                 orientations, sets, r_n: float):
         self.sample_sizes = [len(X1), len(X0)]
         self.structure = structure
-        self.sets = sets
-        self.sign = 1.0 if which == "lower" else -1.0
-        self.r_n = r_n
-        self.cells = structure.cell_indices(which)
-        self.base = structure.base_values(self.cells)
         self.starts1 = _block_starts(X1)
         self.starts0 = _block_starts(X0)
         self.kind = StatKind(j=1)
+        self.parts = []
+        for o, st in zip(orientations, sets):
+            cells = structure.cell_indices(o)
+            scale = (1.0 if o == "lower" else -1.0) * r_n
+            self.parts.append((st, cells, structure.base_values(cells), scale))
+        self.replicate_cells = max(st.cells.size for st in sets)
 
-    def replicate_stat(self, ws) -> float:
+    def replicate_stat(self, ws) -> np.ndarray:
         w1, w0 = ws
         d1 = _cum_from_weights(w1, self.starts1, self.sample_sizes[0])
         d0 = _cum_from_weights(w0, self.starts0, self.sample_sizes[1])
-        h = self.sign * self.r_n * (self.structure.evaluate(d1, d0, self.cells) - self.base)
-        return derivative_estimate(self.kind, self.sets, h)
-
-
-def _plugin(X1: Sample, X0: Sample, grid: Grid | None, step: float | None,
-            a_n: float, orientations: tuple[str, ...], config: BootstrapConfig | None):
-    """Near-argmax candidates of the given orientations, from one pass, and
-    the clipped (lower, upper) plug-in bounds, from the scan behind `bounds`
-    output so that band centers match it bit for bit.  Both run their row
-    chunks on the config's threads."""
-    threads = config.threads if config else 1
-    F1, F0 = ecdf_build(X1), ecdf_build(X0)
-    if grid is None:
-        grid = default_grid(support_bounds(X1, X0), step)
-    structure = MakarovStructure(F1, F0, grid, a_n, orientations, threads)
-    return structure, np.clip(_scan(F1, F0, grid, threads), 0.0, 1.0)
+        stats = np.empty((len(w1), len(self.parts)))
+        for k, (sets, cells, base, scale) in enumerate(self.parts):
+            h = _directions(self.structure, d1, d0, cells, base, scale)
+            stats[:, k] = derivative_estimate(self.kind, sets, h, block=True)
+        return stats
 
 
 def uniform_band(which: str, X1: Sample, X0: Sample, alpha: float = 0.05,
@@ -132,45 +136,53 @@ def uniform_band(which: str, X1: Sample, X0: Sample, alpha: float = 0.05,
     (1 - alpha) quantile of the sup-norm limit via the bootstrap with the
     derivative estimator for the two-sided sup statistic.
     """
-    if which not in ("lower", "upper"):
+    if which not in ORIENTATIONS:
         raise ValueError(f"band target must be 'lower' or 'upper', got {which!r}")
-    tuning = tuning or Tuning(n=len(X1) + len(X0))
-    structure, (lower, upper) = _plugin(X1, X0, grid, step, tuning.a_n, (which,), config)
-    center = lower if which == "lower" else upper
-    return _band(which, X1, X0, structure, center, alpha, config, tuning)
+    (band,) = _bands((which,), X1, X0, alpha, config, grid, step, tuning)
+    return band
 
 
 def bound_bands(X1: Sample, X0: Sample, alpha: float = 0.05,
                 config: BootstrapConfig | None = None, grid: Grid | None = None,
                 step: float | None = None, tuning: Tuning | None = None) -> tuple[Band, Band]:
     """The lower and upper ``uniform_band`` at the same level, sharing one
-    candidate pass and one bound scan."""
+    candidate pass, one bound scan and one weight draw per replicate."""
+    return _bands(ORIENTATIONS, X1, X0, alpha, config, grid, step, tuning)
+
+
+def _bands(orientations: tuple[str, ...], X1: Sample, X0: Sample, alpha: float,
+           config: BootstrapConfig | None, grid: Grid | None, step: float | None,
+           tuning: Tuning | None) -> tuple[Band, ...]:
+    """Bootstrap bands around the plug-in bounds of ``orientations``.  The
+    near-argmax candidates come from one pass and the clipped bounds from
+    the scan behind `bounds` output, so that band centers match it bit for
+    bit; both run their row chunks, and the bootstrap its replicate blocks,
+    on the config's threads."""
     tuning = tuning or Tuning(n=len(X1) + len(X0))
-    structure, (lower, upper) = _plugin(X1, X0, grid, step, tuning.a_n, ("lower", "upper"),
-                                        config)
-    return (_band("lower", X1, X0, structure, lower, alpha, config, tuning),
-            _band("upper", X1, X0, structure, upper, alpha, config, tuning))
-
-
-def _band(which: str, X1: Sample, X0: Sample, structure: MakarovStructure,
-          center: np.ndarray, alpha: float, config: BootstrapConfig | None,
-          tuning: Tuning) -> Band:
-    """Bootstrap band around the plug-in bound ``center`` on ``structure``."""
     config = replace(config or BootstrapConfig(), alpha=alpha)
-    sets = eps_argmax(structure.near_argmax(which), tuning)
-    problem = _BandProblem(X1, X0, structure, which, sets, tuning.r_n)
-    run = bootstrap_statistic_distribution(problem, config)
-    half = run.critical_value / tuning.r_n
-    return Band(
-        grid=structure.grid,
-        lo=np.maximum(center - half, 0.0),
-        hi=np.minimum(center + half, 1.0),
-        center=center,
-        alpha=alpha,
-        c_star=run.critical_value,
-        r_n=tuning.r_n,
-        run=run,
-    )
+    F1, F0 = ecdf_build(X1), ecdf_build(X0)
+    if grid is None:
+        grid = default_grid(support_bounds(X1, X0), step)
+    structure = MakarovStructure(F1, F0, grid, tuning.a_n, orientations, config.threads)
+    bounds = np.clip(_scan(F1, F0, grid, config.threads), 0.0, 1.0)
+    sets = [eps_argmax(structure.near_argmax(o), tuning) for o in orientations]
+    problem = _BandProblem(X1, X0, structure, orientations, sets, tuning.r_n)
+    runs = bootstrap_statistic_distribution(problem, config)
+    bands = []
+    for o, run in zip(orientations, runs):
+        center = bounds[ORIENTATIONS.index(o)]
+        half = run.critical_value / tuning.r_n
+        bands.append(Band(
+            grid=grid,
+            lo=np.maximum(center - half, 0.0),
+            hi=np.minimum(center + half, 1.0),
+            center=center,
+            alpha=alpha,
+            c_star=run.critical_value,
+            r_n=tuning.r_n,
+            run=run,
+        ))
+    return tuple(bands)
 
 
 def cdf_band(lower_band: Band, upper_band: Band) -> Band:
@@ -204,10 +216,9 @@ class _DominanceProblem:
         self.sA, self.sB = sA, sB
         self.setsA, self.setsB = setsA, setsB
         self.contact = contact
-        self.signA = 1.0 if orientA == "lower" else -1.0
-        self.signB = 1.0 if orientB == "lower" else -1.0
+        self.scaleA = (1.0 if orientA == "lower" else -1.0) * r_n
+        self.scaleB = (1.0 if orientB == "lower" else -1.0) * r_n
         self.integrand_sign = integrand_sign
-        self.r_n = r_n
         self.cellsA = sA.cell_indices(orientA)
         self.cellsB = sB.cell_indices(orientB)
         self.baseA = sA.base_values(self.cellsA)
@@ -215,17 +226,18 @@ class _DominanceProblem:
         self.starts0 = _block_starts(X0)
         self.startsA = _block_starts(XA)
         self.startsB = _block_starts(XB)
+        self.replicate_cells = max(setsA.cells.size, setsB.cells.size)
 
-    def replicate_stat(self, ws) -> float:
+    def replicate_stat(self, ws) -> np.ndarray:
         w0, wA, wB = ws
         n0, nA, nB = self.sample_sizes
         d0 = _cum_from_weights(w0, self.starts0, n0)
         dA = _cum_from_weights(wA, self.startsA, nA)
         dB = _cum_from_weights(wB, self.startsB, nB)
-        hA = self.signA * self.r_n * (self.sA.evaluate(dA, d0, self.cellsA) - self.baseA)
-        hB = self.signB * self.r_n * (self.sB.evaluate(dB, d0, self.cellsB) - self.baseB)
+        hA = _directions(self.sA, dA, d0, self.cellsA, self.baseA, self.scaleA)
+        hB = _directions(self.sB, dB, d0, self.cellsB, self.baseB, self.scaleB)
         return dominance_derivative_estimate(
-            self.setsA, self.setsB, self.contact, hA, hB, sign=self.integrand_sign
+            self.setsA, self.setsB, self.contact, hA, hB, sign=self.integrand_sign, block=True
         )
 
 
@@ -255,12 +267,14 @@ def dominance_test(X0: Sample, XA: Sample, XB: Sample, alpha: float = 0.05,
         orientA, orientB, integrand_sign = "upper", "lower", -1.0
     sA = MakarovStructure(FA, F0, grid, tuning.a_n, (orientA,))
     sB = MakarovStructure(FB, F0, grid, tuning.a_n, (orientB,))
+    # one pair is read as "lower": its clipped row maxima are its lower
+    # bound, bit for bit, so only the other pair needs the bound scan
     if orientation == "necessary":
-        lv = lower_bound(FA, F0, grid).values  # L_A
+        lv = np.clip(sA.near_argmax("lower").row_max, 0.0, 1.0)  # L_A
         rv = upper_bound(FB, F0, grid).values  # U_B
     else:
         lv = upper_bound(FA, F0, grid).values  # U_A
-        rv = lower_bound(FB, F0, grid).values  # L_B
+        rv = np.clip(sB.near_argmax("lower").row_max, 0.0, 1.0)  # L_B
     gap = lv - rv
     left = ValueFunction(grid=grid, values=lv)
     right = ValueFunction(grid=grid, values=rv)

@@ -301,10 +301,11 @@ class MakarovStructure:
     def evaluate(self, d1: np.ndarray, d0: np.ndarray, cells) -> np.ndarray:
         """g1(u) - g0(u - x) at the candidates ``cells`` (from
         ``cell_indices``), for step functions with the same jump points as
-        (F1, F0) and cumulative arrays d1, d0 (leading zero included)."""
+        (F1, F0) and cumulative arrays d1, d0 (leading zero included); for
+        (B, n + 1) blocks of cumulative arrays, one row of values per row."""
         ia, ib = cells
-        out = d1[ia]
-        out -= d0[ib]
+        out = np.take(d1, ia, axis=-1)
+        out -= np.take(d0, ib, axis=-1)
         return out
 
     def base_values(self, cells) -> np.ndarray:

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from vfi.bootstrap import (
+    SCHEMES,
     BootstrapConfig,
     _key,
+    _keys,
     _mix,
+    _replicate_seeds,
+    _reset_stream,
     bootstrap_statistic_distribution,
     critical_value,
     derive_seed,
@@ -72,6 +78,63 @@ class TestStreamKeys:
         k = 2**64 - 5  # at least 2**63, and _mix(k) is below it
         assert _mix(k) < 2**63
         assert [int(w) for w in _key(k)] == [0, 1635312068028924416]
+
+
+def _words(key) -> list[int]:
+    return [int(w) for w in key]
+
+
+# 64-bit words at the edges of the key rule: around 2**63, the top of the
+# range, a word whose float64 rounding wraps to 0, and exact halfway cases
+# between two float64 neighbours (ties round to even)
+EDGE_WORDS = [0, 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64 - 5,
+              2**63 + 2**10, 2**63 + 3 * 2**10, 2**64 - 2**10, 2**64 - 2**10 - 1]
+
+
+class TestVectorisedStreams:
+    """The replicate streams' seeds and keys, derived for all R replicates
+    of a sample at once, and this thread's reset generator, against the
+    one-stream-at-a-time ``derive_seed``, ``_key`` and ``stream``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(-2**70, 2**70) | st.sampled_from(EDGE_WORDS + [-1, -2**63]),
+           s=st.integers(0, 4), R=st.integers(1, 40))
+    @example(seed=-1, s=0, R=5)
+    @example(seed=2**63 - 1, s=1, R=5)
+    @example(seed=2**63 + 1, s=2, R=5)
+    @example(seed=2**64 - 1, s=0, R=5)
+    def test_seeds_and_keys_match_the_scalar_chain(self, seed, s, R):
+        seeds = _replicate_seeds(seed, s, R)
+        assert seeds.dtype == np.uint64
+        assert [int(k) for k in seeds] == [derive_seed(seed, s, r) for r in range(R)]
+        keys = _keys(seeds)
+        assert keys.dtype == np.uint64 and keys.shape == (R, 2)
+        assert [_words(k) for k in keys] == [_words(_key(derive_seed(seed, s, r)))
+                                             for r in range(R)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(0, 2**64 - 1) | st.sampled_from(EDGE_WORDS))
+    @example(k=2**64 - 5)  # the float-rounding wrap case of TestStreamKeys
+    def test_keys_match_scalar_key(self, k):
+        assert _words(_keys(np.array([k], dtype=np.uint64))[0]) == _words(_key(k))
+
+    def test_edge_words_reach_every_key_case(self):
+        # no word, one word or both words of the key at least 2**63
+        assert {(k >> 63) + (_mix(k) >> 63) for k in EDGE_WORDS} == {0, 1, 2}
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_reset_generator_matches_a_fresh_stream(self, scheme):
+        keys = _keys(_replicate_seeds(9, 1, 6))
+        pvals = np.full(33, 1.0 / 33)
+        for r, key in enumerate(keys):
+            gen = _reset_stream(keys[r - 1])
+            gen.random(1)  # takes one word of a four-word Philox block
+            gen.integers(0, 2**32, 1, dtype=np.uint32)  # keeps a spare 32-bit half
+            state = gen.bit_generator.state
+            assert state["buffer_pos"] < 4 and state["has_uint32"] == 1
+            got = draw_weights(33, scheme, _reset_stream(key), out=np.empty(33), pvals=pvals)
+            assert_array_equal(got, draw_weights(33, scheme, stream(9, 1, r)))
+            assert _reset_stream(key).bit_generator.state["state"]["counter"].tolist() == [0] * 4
 
 
 class TestWeights:
@@ -145,9 +208,10 @@ class _SumProblem:
     weights from 1, so it is zero iff every weight is one."""
 
     sample_sizes = [12, 8]
+    replicate_cells = 0
 
     def replicate_stat(self, ws):
-        return float(sum(np.abs(w - 1).sum() for w in ws))
+        return sum(np.abs(w - 1).sum(axis=1) for w in ws)
 
 
 class TestDistribution:

@@ -59,8 +59,8 @@ class TestUniformBand:
         tuning = Tuning(n=60)
         s = MakarovStructure(F1, F0, grid, tuning.a_n, ("lower",))
         sets = eps_argmax(s.near_argmax("lower"), tuning)
-        problem = _BandProblem(X1, X0, s, "lower", sets, tuning.r_n)
-        assert problem.replicate_stat([np.ones(30), np.ones(30)]) == 0.0
+        problem = _BandProblem(X1, X0, s, ("lower",), [sets], tuning.r_n)
+        assert problem.replicate_stat([np.ones((1, 30)), np.ones((1, 30))]) == 0.0
 
     def test_rejects_unknown_target(self):
         X1, X0 = normal_samples(5)
@@ -81,6 +81,21 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 40e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+    def test_dominance_test_peak_at_n_1e3(self):
+        # replicates run in blocks of at most bootstrap.BLOCK_CELLS cells per
+        # work array (a 16 MB peak here, set by the candidate pass); all
+        # R = 199 replicates in one block would peak at about 210 MB
+        rng = np.random.default_rng(12)
+        X0, XB = Sample(rng.uniform(0, 1, 1000)), Sample(rng.uniform(0, 1, 1000))
+        XA = Sample(rng.uniform(1, 2, 1000))
+        tracemalloc.start()
+        try:
+            dominance_test(X0, XA, XB, config=BootstrapConfig(R=199, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 class TestBandDuality:

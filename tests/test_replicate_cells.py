@@ -3,6 +3,8 @@ equal, bit for bit, a dense reference that evaluates the direction on every
 candidate of the Makarov structure and masks the rest away; and the cells
 the streamed pass keeps must be the dense objective's."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -10,8 +12,14 @@ from numpy.testing import assert_array_equal
 from vfi.bootstrap import BootstrapConfig, bootstrap_statistic_distribution
 from vfi.derivative import Tuning, eps_argmax
 from vfi.empirical import Sample, ecdf_build
-from vfi.inference import _block_starts, _cum_from_weights, dominance_test, uniform_band
-from vfi import makarov
+from vfi.inference import (
+    _block_starts,
+    _cum_from_weights,
+    bound_bands,
+    dominance_test,
+    uniform_band,
+)
+from vfi import bootstrap, inference, makarov
 from vfi.makarov import default_grid, lower_bound, support_bounds, upper_bound
 from vfi.valuemap import Grid
 
@@ -32,8 +40,12 @@ class _DenseBand:
         self.scale = (1.0 if which == "lower" else -1.0) * tuning.r_n
         self.base = self.s.base_values()
         self.starts = (_block_starts(X1), _block_starts(X0))
+        self.replicate_cells = self.base.size
 
     def replicate_stat(self, ws):
+        return np.array([self._one(row) for row in zip(*ws)])
+
+    def _one(self, ws):
         d1, d0 = (_cum_from_weights(w, st, len(w)) for w, st in zip(ws, self.starts))
         h = self.scale * (self.s.evaluate(d1, d0) - self.base)
         row = _dense_row_sup(h, self.per_x)
@@ -63,8 +75,12 @@ class _DenseDominance:
             self.parts.append((s, per_x, scale, s.base_values()))
         self.w = grid.rect_weights()
         self.starts = [_block_starts(X) for X in (X0, XA, XB)]
+        self.replicate_cells = max(base.size for *_, base in self.parts)
 
     def replicate_stat(self, ws):
+        return np.array([self._one(row) for row in zip(*ws)])
+
+    def _one(self, ws):
         d0, dA, dB = (_cum_from_weights(w, st, len(w)) for w, st in zip(ws, self.starts))
         rows = [
             _dense_row_sup(scale * (s.evaluate(d, d0) - base), per_x)
@@ -136,6 +152,93 @@ def test_dominance_empty_contact_falls_back(orientation):
     assert_array_equal(res.run.replicates,
                        bootstrap_statistic_distribution(dense, cfg).replicates)
     assert res.run.replicates.max() > 0
+
+
+def _in_blocks(monkeypatch, rows, seen):
+    """Run the procedures' bootstraps in blocks of ``rows`` replicates (all
+    R at once for None), appending each block's size to ``seen``."""
+    real = bootstrap.bootstrap_statistic_distribution
+
+    def run(problem, config):
+        width = max(problem.replicate_cells, *problem.sample_sizes)
+        monkeypatch.setattr(bootstrap, "BLOCK_CELLS", (rows or config.R) * width)
+        stat = problem.replicate_stat
+
+        def counted(ws):
+            seen.append(len(ws[0]))
+            return stat(ws)
+
+        problem.replicate_stat = counted
+        return real(problem, config)
+
+    monkeypatch.setattr(inference, "bootstrap_statistic_distribution", run)
+
+
+def _block_cases(R):
+    for rows in (1, 3, 7, None):
+        for threads in (1, 2, 3):
+            sizes = [min(rows or R, R - start) for start in range(0, R, rows or R)]
+            yield rows, threads, sizes
+
+
+@pytest.mark.parametrize("scheme", ["multinomial", "bayesian"])
+def test_band_replicates_do_not_depend_on_blocks_or_threads(scheme, monkeypatch):
+    rng = np.random.default_rng([45, scheme == "bayesian"])
+    X1, X0 = _sample(rng, 0.4, 37, 1), _sample(rng, 0.0, 29, 1)
+    grid = default_grid(support_bounds(X1, X0), 0.05)
+    tuning = Tuning(n=len(X1) + len(X0))
+    cfg = BootstrapConfig(R=29, scheme=scheme, seed=int(rng.integers(1000)))
+    dense = [bootstrap_statistic_distribution(_DenseBand(which, X1, X0, grid, tuning), cfg)
+             for which in ("lower", "upper")]
+    for rows, threads, sizes in _block_cases(cfg.R):
+        with monkeypatch.context() as m:
+            seen = []
+            _in_blocks(m, rows, seen)
+            bands = bound_bands(X1, X0, config=replace(cfg, threads=threads), grid=grid,
+                                tuning=tuning)
+            assert sorted(seen) == sorted(sizes), (rows, threads)
+            for band, want in zip(bands, dense):
+                assert_array_equal(band.run.replicates, want.replicates,
+                                   err_msg=f"rows={rows} threads={threads}")
+
+
+@pytest.mark.parametrize("scheme", ["multinomial", "bayesian"])
+@pytest.mark.parametrize("orientation", ["necessary", "sufficient"])
+def test_dominance_replicates_do_not_depend_on_blocks_or_threads(orientation, scheme,
+                                                                 monkeypatch):
+    rng = np.random.default_rng([46, scheme == "bayesian", orientation == "sufficient"])
+    X0, XA, XB = _sample(rng, 0.0, 31, 1), _sample(rng, 0.3, 27, 1), _sample(rng, 0.0, 34, 1)
+    grid = default_grid(support_bounds(XA, X0), 0.05)
+    tuning = Tuning(n=len(X0) + len(XA) + len(XB))
+    cfg = BootstrapConfig(R=29, scheme=scheme, seed=int(rng.integers(1000)))
+    dense = _DenseDominance(X0, XA, XB, grid, tuning, orientation)
+    want = bootstrap_statistic_distribution(dense, cfg).replicates
+    for rows, threads, sizes in _block_cases(cfg.R):
+        with monkeypatch.context() as m:
+            seen = []
+            _in_blocks(m, rows, seen)
+            res = dominance_test(X0, XA, XB, config=replace(cfg, threads=threads), grid=grid,
+                                 tuning=tuning, orientation=orientation)
+            assert sorted(seen) == sorted(sizes), (rows, threads)
+            assert_array_equal(res.run.replicates, want,
+                               err_msg=f"rows={rows} threads={threads}")
+
+
+@pytest.mark.parametrize("scheme", ["multinomial", "bayesian"])
+def test_bound_bands_equal_two_uniform_bands(scheme):
+    # both bands read one draw per replicate; each equals its band alone
+    rng = np.random.default_rng([47, scheme == "bayesian"])
+    X1, X0 = _sample(rng, 0.4, 41, 1), _sample(rng, 0.0, 33)
+    cfg = BootstrapConfig(R=39, scheme=scheme, seed=int(rng.integers(1000)), threads=2)
+    both = bound_bands(X1, X0, alpha=0.1, config=cfg, step=0.05)
+    for band, which in zip(both, ("lower", "upper")):
+        alone = uniform_band(which, X1, X0, alpha=0.1, config=cfg, grid=band.grid)
+        assert_array_equal(band.run.replicates, alone.run.replicates)
+        assert band.run.critical_value == alone.run.critical_value
+        assert band.run.config == alone.run.config
+        for field in ("lo", "hi", "center"):
+            assert_array_equal(getattr(band, field), getattr(alone, field))
+        assert band.c_star == alone.c_star
 
 
 @pytest.mark.parametrize("rows", [1, 3, 7])
