@@ -143,16 +143,14 @@ def _reset_stream(key: np.ndarray) -> np.random.Generator:
 
 
 def draw_weights(n: int, scheme: str, rng: np.random.Generator,
-                 out: np.ndarray | None = None, pvals: np.ndarray | None = None) -> np.ndarray:
-    """One weight vector of length n, written to ``out`` when given.
-    ``pvals`` is the multinomial's uniform ``np.full(n, 1 / n)``, for a
-    caller that builds it once for many draws."""
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """One weight vector of length n, written to ``out`` when given."""
     if n < 1:
         raise ValueError("cannot draw weights for an empty sample")
     if out is None:
         out = np.empty(n)
     if scheme == "multinomial":
-        out[...] = rng.multinomial(n, np.full(n, 1.0 / n) if pvals is None else pvals)
+        out[...] = rng.multinomial(n, np.full(n, 1.0 / n))
     elif scheme == "bayesian":
         rng.standard_exponential(n, out=out)
         out *= n / out.sum()
@@ -172,35 +170,38 @@ def critical_value(replicates: np.ndarray, alpha: float) -> float:
     return float(reps[k - 1])
 
 
-def bootstrap_statistic_distribution(problem, config: BootstrapConfig):
+def rows_per_block(cells: int, sizes) -> int:
+    """Replicates per block for a problem whose replicate holds ``cells``
+    cells in its largest work array and draws samples of ``sizes``: as
+    many as fit in ``BLOCK_CELLS`` cells per work array, at least one."""
+    return max(1, BLOCK_CELLS // max(cells, *sizes))
+
+
+def bootstrap_statistic_distribution(problem, config: BootstrapConfig) -> BootstrapRun:
     """Evaluate the replicate statistic over R independent weight draws.
 
     ``problem`` exposes ``sample_sizes`` (one entry per underlying sample),
-    ``replicate_cells`` (the cells one replicate takes in its largest work
-    array) and ``replicate_stat(weights)``: given one (B, n_s) block of
-    weights per sample, row b of each drawn for the same replicate, it
-    returns the B replicate statistics, or a (B, k) array of k statistics
-    per replicate.  The result is one ``BootstrapRun``, or a tuple of k
-    runs, one per column.
+    ``block_rows`` (the replicates it evaluates per call) and
+    ``replicate_stat(weights)``: given one (B, n_s) block of weights per
+    sample, row b of each drawn for the same replicate, it returns the B
+    replicate statistics.
 
-    Replicates run in blocks of consecutive r, each with at most
-    ``BLOCK_CELLS`` cells per work array; with more than one thread the
-    blocks run on a pool.  Every row is drawn from its own stream, so the
-    replicates do not depend on the block size or the thread count.
+    Replicates run in blocks of ``block_rows`` consecutive r; with more
+    than one thread the blocks run on a pool.  Every row is drawn from its
+    own stream, so the replicates do not depend on the block size or the
+    thread count.
     """
     sizes = list(problem.sample_sizes)
-    R = config.R
+    R, rows = config.R, problem.block_rows
     keys = [_keys(_replicate_seeds(config.seed, s, R)) for s in range(len(sizes))]
-    pvals = [np.full(n, 1.0 / n) if config.scheme == "multinomial" else None for n in sizes]
-    rows = max(1, BLOCK_CELLS // max(problem.replicate_cells, *sizes))
 
     def block(start: int) -> np.ndarray:
         rs = range(start, min(start + rows, R))
         ws = []
-        for n, key, p in zip(sizes, keys, pvals):
+        for n, key in zip(sizes, keys):
             w = np.empty((len(rs), n))
             for row, r in zip(w, rs):
-                draw_weights(n, config.scheme, _reset_stream(key[r]), out=row, pvals=p)
+                draw_weights(n, config.scheme, _reset_stream(key[r]), out=row)
             ws.append(w)
         return problem.replicate_stat(ws)
 
@@ -210,9 +211,8 @@ def bootstrap_statistic_distribution(problem, config: BootstrapConfig):
             reps = np.concatenate(list(pool.map(block, starts)))
     else:
         reps = np.concatenate([block(s) for s in starts])
-    runs = tuple(
-        BootstrapRun(replicates=col, critical_value=critical_value(col, config.alpha),
-                     config=config)
-        for col in ([reps] if reps.ndim == 1 else reps.T.copy())
+    return BootstrapRun(
+        replicates=reps,
+        critical_value=critical_value(reps, config.alpha),
+        config=config,
     )
-    return runs[0] if reps.ndim == 1 else runs

@@ -21,7 +21,9 @@ __all__ = [
     "ArgmaxSets",
     "eps_argmax",
     "derivative_estimate",
+    "derivative_estimates",
     "dominance_derivative_estimate",
+    "dominance_derivative_estimates",
 ]
 
 MIN_COMBINED_N = 16
@@ -114,19 +116,23 @@ def eps_argmax(f, tuning: Tuning) -> ArgmaxSets:
     )
 
 
-def _cell_values(h, sets: ArgmaxSets, block: bool) -> np.ndarray:
-    """h on the per-x cells as a (B, cells) block: from one direction on
-    every candidate (the objective's shape) or on ``sets.cells``, or, with
-    ``block``, from B directions on ``sets.cells``, one per row."""
+def _cell_values(h, sets: ArgmaxSets) -> np.ndarray:
+    """h on the per-x cells, from h on every candidate (the objective's
+    shape) or from h already restricted to ``sets.cells``."""
     hv = h.values if isinstance(h, GriddedObjective) else np.asarray(h, dtype=float)
-    if block:
-        if hv.ndim == 2 and hv.shape[1] == sets.cells.size:
-            return hv
-    elif hv.shape == (len(sets.grid), sets.width):
-        return hv.ravel()[sets.cells][None]
-    elif hv.shape == sets.cells.shape:
-        return hv[None]
+    if hv.shape == (len(sets.grid), sets.width):
+        return hv.ravel()[sets.cells]
+    if hv.shape == sets.cells.shape:
+        return hv
     raise ValueError("direction does not share the objective's candidate structure")
+
+
+def _direction_block(H, sets: ArgmaxSets) -> np.ndarray:
+    """H as a (B, cells) block of B directions on ``sets.cells``."""
+    hv = np.asarray(H, dtype=float)
+    if hv.ndim != 2 or hv.shape[1] != sets.cells.size:
+        raise ValueError("directions must be a (B, cells) block on the per-x cells")
+    return hv
 
 
 def _row_sup(hv: np.ndarray, sets: ArgmaxSets) -> np.ndarray:
@@ -140,27 +146,53 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(terms).sum(axis=1)
 
 
-def derivative_estimate(kind: StatKind, sets: ArgmaxSets, h, block: bool = False):
-    """Directional-derivative value of lambda_j at the objective, in
-    direction h, using the estimated argmax sets.  h is given on every
-    candidate or only on ``sets.cells``.  With ``block``, h is a (B, cells)
-    block of B directions on ``sets.cells`` and the result an array of
-    their B values, each the same bits as its row alone would give."""
-    hv = _cell_values(h, sets, block)
+def derivative_estimates(kind: StatKind, sets: ArgmaxSets, H) -> np.ndarray:
+    """``derivative_estimate`` for each row of H, a (B, cells) block of B
+    directions on ``sets.cells``: B values, each the same bits as its
+    direction alone gives."""
+    hv = _direction_block(H, sets)
     row = _row_sup(hv, sets)
     if kind.j == 1:
         # second branch: sup_x inf over the per-x set of (-h)
-        out = np.maximum(row.max(axis=1), -row.min(axis=1))
-    elif kind.j == 2:
-        out = np.maximum(hv[:, sets.joint].max(axis=1), 0.0)
+        return np.maximum(row.max(axis=1), -row.min(axis=1))
+    if kind.j == 2:
+        return np.maximum(hv[:, sets.joint].max(axis=1), 0.0)
+    w = sets.grid.rect_weights()
+    if kind.j == 3:
+        terms = np.abs(row) ** kind.p * w
     else:
-        w = sets.grid.rect_weights()
-        if kind.j == 3:
-            terms = np.abs(row) ** kind.p * w
-        else:
-            terms = np.maximum(row[:, sets.contact], 0.0) ** kind.p * w[sets.contact]
-        out = np.array([total ** (1.0 / kind.p) for total in _row_sums(terms)])
-    return out if block else float(out[0])
+        terms = np.maximum(row[:, sets.contact], 0.0) ** kind.p * w[sets.contact]
+    return np.array([total ** (1.0 / kind.p) for total in _row_sums(terms)])
+
+
+def derivative_estimate(kind: StatKind, sets: ArgmaxSets, h) -> float:
+    """Directional-derivative value of lambda_j at the objective, in
+    direction h, using the estimated argmax sets.  h is given on every
+    candidate or only on ``sets.cells``."""
+    return float(derivative_estimates(kind, sets, _cell_values(h, sets)[None])[0])
+
+
+def dominance_derivative_estimates(
+    setsA: ArgmaxSets,
+    setsB: ArgmaxSets,
+    contact: np.ndarray,
+    HA,
+    HB,
+    sign: float = 1.0,
+) -> np.ndarray:
+    """``dominance_derivative_estimate`` for each row of HA and HB, (B,
+    cells) blocks of B directions on their sets' ``cells``: B values, each
+    the same bits as its pair of directions alone gives."""
+    if not setsA.grid.same_as(setsB.grid):
+        raise ValueError("argmax sets live on different grids")
+    contact = np.asarray(contact, dtype=bool)
+    if not contact.any():
+        contact = np.ones(len(setsA.grid), dtype=bool)
+    rowA = _row_sup(_direction_block(HA, setsA), setsA)
+    rowB = _row_sup(_direction_block(HB, setsB), setsB)
+    integrand = np.maximum(sign * (rowA + rowB)[:, contact], 0.0)
+    w = setsA.grid.rect_weights()[contact]
+    return np.sqrt(_row_sums(integrand ** 2 * w))
 
 
 def dominance_derivative_estimate(
@@ -170,27 +202,16 @@ def dominance_derivative_estimate(
     hA,
     hB,
     sign: float = 1.0,
-    block: bool = False,
-):
+) -> float:
     """Derivative of the one-sided L2 dominance statistic.
 
     hA is the direction on the lower-bound objective of the A-vs-control
     pair; hB the direction on the (negated) upper-bound objective of the
     B-vs-control pair; each is given on every candidate or only on its
-    sets' ``cells``, or, with ``block``, as (B, cells) blocks of B
-    directions, for which the result is an array of B values.
-    ``contact`` restricts integration to the estimated region where the
-    population gap is zero.  ``sign`` flips the integrand for the reversed
-    orientation of the test.
+    sets' ``cells``.  ``contact`` restricts integration to the estimated
+    region where the population gap is zero.  ``sign`` flips the integrand
+    for the reversed orientation of the test.
     """
-    if not setsA.grid.same_as(setsB.grid):
-        raise ValueError("argmax sets live on different grids")
-    contact = np.asarray(contact, dtype=bool)
-    if not contact.any():
-        contact = np.ones(len(setsA.grid), dtype=bool)
-    rowA = _row_sup(_cell_values(hA, setsA, block), setsA)
-    rowB = _row_sup(_cell_values(hB, setsB, block), setsB)
-    integrand = np.maximum(sign * (rowA + rowB)[:, contact], 0.0)
-    w = setsA.grid.rect_weights()[contact]
-    out = np.sqrt(_row_sums(integrand ** 2 * w))
-    return out if block else float(out[0])
+    HA = _cell_values(hA, setsA)[None]
+    HB = _cell_values(hB, setsB)[None]
+    return float(dominance_derivative_estimates(setsA, setsB, contact, HA, HB, sign)[0])

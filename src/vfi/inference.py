@@ -14,17 +14,21 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, BootstrapRun, bootstrap_statistic_distribution
+from .bootstrap import (
+    BootstrapConfig,
+    BootstrapRun,
+    bootstrap_statistic_distribution,
+    rows_per_block,
+)
 from .derivative import (
     ArgmaxSets,
     Tuning,
-    derivative_estimate,
-    dominance_derivative_estimate,
+    derivative_estimates,
+    dominance_derivative_estimates,
     eps_argmax,
 )
 from .empirical import Sample, ecdf_build
 from .makarov import (
-    ORIENTATIONS,
     MakarovStructure,
     _scan,
     SupportInfo,
@@ -99,32 +103,47 @@ def _directions(structure: MakarovStructure, d1: np.ndarray, d0: np.ndarray,
 
 
 class _BandProblem:
-    """Bootstrap problem for the sup-norm statistics of the bound functions
-    of ``orientations``, all read from the same draws: one column each."""
+    """Bootstrap problem for one bound function's sup-norm statistic.
+
+    It evaluates one replicate per call: at n = 1e3 per arm a band
+    replicate keeps about 57,000 cells, past ``BLOCK_CELLS``, so the cap
+    allows no more there, and ``bench/traced.py`` counts one replicate per
+    ``replicate_stat`` call."""
+
+    block_rows = 1
 
     def __init__(self, X1: Sample, X0: Sample, structure: MakarovStructure,
-                 orientations, sets, r_n: float):
+                 which: str, sets: ArgmaxSets, r_n: float):
         self.sample_sizes = [len(X1), len(X0)]
         self.structure = structure
+        self.sets = sets
+        self.scale = (1.0 if which == "lower" else -1.0) * r_n
+        self.cells = structure.cell_indices(which)
+        self.base = structure.base_values(self.cells)
         self.starts1 = _block_starts(X1)
         self.starts0 = _block_starts(X0)
         self.kind = StatKind(j=1)
-        self.parts = []
-        for o, st in zip(orientations, sets):
-            cells = structure.cell_indices(o)
-            scale = (1.0 if o == "lower" else -1.0) * r_n
-            self.parts.append((st, cells, structure.base_values(cells), scale))
-        self.replicate_cells = max(st.cells.size for st in sets)
 
     def replicate_stat(self, ws) -> np.ndarray:
         w1, w0 = ws
         d1 = _cum_from_weights(w1, self.starts1, self.sample_sizes[0])
         d0 = _cum_from_weights(w0, self.starts0, self.sample_sizes[1])
-        stats = np.empty((len(w1), len(self.parts)))
-        for k, (sets, cells, base, scale) in enumerate(self.parts):
-            h = _directions(self.structure, d1, d0, cells, base, scale)
-            stats[:, k] = derivative_estimate(self.kind, sets, h, block=True)
-        return stats
+        h = _directions(self.structure, d1, d0, self.cells, self.base, self.scale)
+        return derivative_estimates(self.kind, self.sets, h)
+
+
+def _plugin(X1: Sample, X0: Sample, grid: Grid | None, step: float | None,
+            a_n: float, orientations: tuple[str, ...], config: BootstrapConfig | None):
+    """Near-argmax candidates of the given orientations, from one pass, and
+    the clipped (lower, upper) plug-in bounds, from the scan behind `bounds`
+    output so that band centers match it bit for bit.  Both run their row
+    chunks on the config's threads."""
+    threads = config.threads if config else 1
+    F1, F0 = ecdf_build(X1), ecdf_build(X0)
+    if grid is None:
+        grid = default_grid(support_bounds(X1, X0), step)
+    structure = MakarovStructure(F1, F0, grid, a_n, orientations, threads)
+    return structure, np.clip(_scan(F1, F0, grid, threads), 0.0, 1.0)
 
 
 def uniform_band(which: str, X1: Sample, X0: Sample, alpha: float = 0.05,
@@ -136,53 +155,45 @@ def uniform_band(which: str, X1: Sample, X0: Sample, alpha: float = 0.05,
     (1 - alpha) quantile of the sup-norm limit via the bootstrap with the
     derivative estimator for the two-sided sup statistic.
     """
-    if which not in ORIENTATIONS:
+    if which not in ("lower", "upper"):
         raise ValueError(f"band target must be 'lower' or 'upper', got {which!r}")
-    (band,) = _bands((which,), X1, X0, alpha, config, grid, step, tuning)
-    return band
+    tuning = tuning or Tuning(n=len(X1) + len(X0))
+    structure, (lower, upper) = _plugin(X1, X0, grid, step, tuning.a_n, (which,), config)
+    center = lower if which == "lower" else upper
+    return _band(which, X1, X0, structure, center, alpha, config, tuning)
 
 
 def bound_bands(X1: Sample, X0: Sample, alpha: float = 0.05,
                 config: BootstrapConfig | None = None, grid: Grid | None = None,
                 step: float | None = None, tuning: Tuning | None = None) -> tuple[Band, Band]:
     """The lower and upper ``uniform_band`` at the same level, sharing one
-    candidate pass, one bound scan and one weight draw per replicate."""
-    return _bands(ORIENTATIONS, X1, X0, alpha, config, grid, step, tuning)
-
-
-def _bands(orientations: tuple[str, ...], X1: Sample, X0: Sample, alpha: float,
-           config: BootstrapConfig | None, grid: Grid | None, step: float | None,
-           tuning: Tuning | None) -> tuple[Band, ...]:
-    """Bootstrap bands around the plug-in bounds of ``orientations``.  The
-    near-argmax candidates come from one pass and the clipped bounds from
-    the scan behind `bounds` output, so that band centers match it bit for
-    bit; both run their row chunks, and the bootstrap its replicate blocks,
-    on the config's threads."""
+    candidate pass and one bound scan."""
     tuning = tuning or Tuning(n=len(X1) + len(X0))
+    structure, (lower, upper) = _plugin(X1, X0, grid, step, tuning.a_n, ("lower", "upper"),
+                                        config)
+    return (_band("lower", X1, X0, structure, lower, alpha, config, tuning),
+            _band("upper", X1, X0, structure, upper, alpha, config, tuning))
+
+
+def _band(which: str, X1: Sample, X0: Sample, structure: MakarovStructure,
+          center: np.ndarray, alpha: float, config: BootstrapConfig | None,
+          tuning: Tuning) -> Band:
+    """Bootstrap band around the plug-in bound ``center`` on ``structure``."""
     config = replace(config or BootstrapConfig(), alpha=alpha)
-    F1, F0 = ecdf_build(X1), ecdf_build(X0)
-    if grid is None:
-        grid = default_grid(support_bounds(X1, X0), step)
-    structure = MakarovStructure(F1, F0, grid, tuning.a_n, orientations, config.threads)
-    bounds = np.clip(_scan(F1, F0, grid, config.threads), 0.0, 1.0)
-    sets = [eps_argmax(structure.near_argmax(o), tuning) for o in orientations]
-    problem = _BandProblem(X1, X0, structure, orientations, sets, tuning.r_n)
-    runs = bootstrap_statistic_distribution(problem, config)
-    bands = []
-    for o, run in zip(orientations, runs):
-        center = bounds[ORIENTATIONS.index(o)]
-        half = run.critical_value / tuning.r_n
-        bands.append(Band(
-            grid=grid,
-            lo=np.maximum(center - half, 0.0),
-            hi=np.minimum(center + half, 1.0),
-            center=center,
-            alpha=alpha,
-            c_star=run.critical_value,
-            r_n=tuning.r_n,
-            run=run,
-        ))
-    return tuple(bands)
+    sets = eps_argmax(structure.near_argmax(which), tuning)
+    problem = _BandProblem(X1, X0, structure, which, sets, tuning.r_n)
+    run = bootstrap_statistic_distribution(problem, config)
+    half = run.critical_value / tuning.r_n
+    return Band(
+        grid=structure.grid,
+        lo=np.maximum(center - half, 0.0),
+        hi=np.minimum(center + half, 1.0),
+        center=center,
+        alpha=alpha,
+        c_star=run.critical_value,
+        r_n=tuning.r_n,
+        run=run,
+    )
 
 
 def cdf_band(lower_band: Band, upper_band: Band) -> Band:
@@ -226,7 +237,8 @@ class _DominanceProblem:
         self.starts0 = _block_starts(X0)
         self.startsA = _block_starts(XA)
         self.startsB = _block_starts(XB)
-        self.replicate_cells = max(setsA.cells.size, setsB.cells.size)
+        self.block_rows = rows_per_block(max(setsA.cells.size, setsB.cells.size),
+                                         self.sample_sizes)
 
     def replicate_stat(self, ws) -> np.ndarray:
         w0, wA, wB = ws
@@ -236,8 +248,8 @@ class _DominanceProblem:
         dB = _cum_from_weights(wB, self.startsB, nB)
         hA = _directions(self.sA, dA, d0, self.cellsA, self.baseA, self.scaleA)
         hB = _directions(self.sB, dB, d0, self.cellsB, self.baseB, self.scaleB)
-        return dominance_derivative_estimate(
-            self.setsA, self.setsB, self.contact, hA, hB, sign=self.integrand_sign, block=True
+        return dominance_derivative_estimates(
+            self.setsA, self.setsB, self.contact, hA, hB, sign=self.integrand_sign
         )
 
 

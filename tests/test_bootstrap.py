@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from vfi.bootstrap import (
+    BLOCK_CELLS,
     SCHEMES,
     BootstrapConfig,
     _key,
@@ -16,6 +17,7 @@ from vfi.bootstrap import (
     critical_value,
     derive_seed,
     draw_weights,
+    rows_per_block,
     stream,
 )
 from vfi.empirical import Sample, ecdf_build, weighted_ecdf
@@ -125,14 +127,13 @@ class TestVectorisedStreams:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_reset_generator_matches_a_fresh_stream(self, scheme):
         keys = _keys(_replicate_seeds(9, 1, 6))
-        pvals = np.full(33, 1.0 / 33)
         for r, key in enumerate(keys):
             gen = _reset_stream(keys[r - 1])
             gen.random(1)  # takes one word of a four-word Philox block
             gen.integers(0, 2**32, 1, dtype=np.uint32)  # keeps a spare 32-bit half
             state = gen.bit_generator.state
             assert state["buffer_pos"] < 4 and state["has_uint32"] == 1
-            got = draw_weights(33, scheme, _reset_stream(key), out=np.empty(33), pvals=pvals)
+            got = draw_weights(33, scheme, _reset_stream(key), out=np.empty(33))
             assert_array_equal(got, draw_weights(33, scheme, stream(9, 1, r)))
             assert _reset_stream(key).bit_generator.state["state"]["counter"].tolist() == [0] * 4
 
@@ -208,13 +209,18 @@ class _SumProblem:
     weights from 1, so it is zero iff every weight is one."""
 
     sample_sizes = [12, 8]
-    replicate_cells = 0
+    block_rows = 7
 
     def replicate_stat(self, ws):
         return sum(np.abs(w - 1).sum(axis=1) for w in ws)
 
 
 class TestDistribution:
+    def test_rows_per_block_fill_the_cap(self):
+        assert rows_per_block(100, [10, 20]) == BLOCK_CELLS // 100
+        assert rows_per_block(10, [300, 20]) == BLOCK_CELLS // 300
+        assert rows_per_block(BLOCK_CELLS + 1, [5]) == 1
+
     def test_single_replicate_is_critical_value(self):
         run = bootstrap_statistic_distribution(_SumProblem(), BootstrapConfig(R=1, seed=3))
         assert run.R == 1

@@ -8,6 +8,7 @@ from vfi.derivative import (
     ArgmaxSets,
     Tuning,
     derivative_estimate,
+    derivative_estimates,
     dominance_derivative_estimate,
     eps_argmax,
 )
@@ -149,6 +150,15 @@ class TestDerivativeEstimate:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="candidate structure"):
             derivative_estimate(StatKind(1), self.sets, np.zeros((2, 2)))
+
+    def test_block_rows_equal_single_directions(self):
+        rng = np.random.default_rng(34)
+        H = rng.normal(size=(5, self.sets.cells.size))
+        for j in (1, 2, 3, 4):
+            got = derivative_estimates(StatKind(j), self.sets, H)
+            assert got.tolist() == [derivative_estimate(StatKind(j), self.sets, h) for h in H]
+        with pytest.raises(ValueError, match="block"):
+            derivative_estimates(StatKind(1), self.sets, H[0])
 
     def test_lipschitz_in_direction(self):
         rng = np.random.default_rng(33)

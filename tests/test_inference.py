@@ -59,7 +59,7 @@ class TestUniformBand:
         tuning = Tuning(n=60)
         s = MakarovStructure(F1, F0, grid, tuning.a_n, ("lower",))
         sets = eps_argmax(s.near_argmax("lower"), tuning)
-        problem = _BandProblem(X1, X0, s, ("lower",), [sets], tuning.r_n)
+        problem = _BandProblem(X1, X0, s, "lower", sets, tuning.r_n)
         assert problem.replicate_stat([np.ones((1, 30)), np.ones((1, 30))]) == 0.0
 
     def test_rejects_unknown_target(self):

@@ -40,7 +40,7 @@ class _DenseBand:
         self.scale = (1.0 if which == "lower" else -1.0) * tuning.r_n
         self.base = self.s.base_values()
         self.starts = (_block_starts(X1), _block_starts(X0))
-        self.replicate_cells = self.base.size
+        self.block_rows = 1
 
     def replicate_stat(self, ws):
         return np.array([self._one(row) for row in zip(*ws)])
@@ -75,7 +75,7 @@ class _DenseDominance:
             self.parts.append((s, per_x, scale, s.base_values()))
         self.w = grid.rect_weights()
         self.starts = [_block_starts(X) for X in (X0, XA, XB)]
-        self.replicate_cells = max(base.size for *_, base in self.parts)
+        self.block_rows = 1
 
     def replicate_stat(self, ws):
         return np.array([self._one(row) for row in zip(*ws)])
@@ -160,8 +160,7 @@ def _in_blocks(monkeypatch, rows, seen):
     real = bootstrap.bootstrap_statistic_distribution
 
     def run(problem, config):
-        width = max(problem.replicate_cells, *problem.sample_sizes)
-        monkeypatch.setattr(bootstrap, "BLOCK_CELLS", (rows or config.R) * width)
+        problem.block_rows = rows or config.R
         stat = problem.replicate_stat
 
         def counted(ws):
@@ -196,7 +195,7 @@ def test_band_replicates_do_not_depend_on_blocks_or_threads(scheme, monkeypatch)
             _in_blocks(m, rows, seen)
             bands = bound_bands(X1, X0, config=replace(cfg, threads=threads), grid=grid,
                                 tuning=tuning)
-            assert sorted(seen) == sorted(sizes), (rows, threads)
+            assert sorted(seen) == sorted(sizes * 2), (rows, threads)
             for band, want in zip(bands, dense):
                 assert_array_equal(band.run.replicates, want.replicates,
                                    err_msg=f"rows={rows} threads={threads}")
@@ -226,7 +225,7 @@ def test_dominance_replicates_do_not_depend_on_blocks_or_threads(orientation, sc
 
 @pytest.mark.parametrize("scheme", ["multinomial", "bayesian"])
 def test_bound_bands_equal_two_uniform_bands(scheme):
-    # both bands read one draw per replicate; each equals its band alone
+    # both bands share one candidate pass and bound scan; each equals its band alone
     rng = np.random.default_rng([47, scheme == "bayesian"])
     X1, X0 = _sample(rng, 0.4, 41, 1), _sample(rng, 0.0, 33)
     cfg = BootstrapConfig(R=39, scheme=scheme, seed=int(rng.integers(1000)), threads=2)
