@@ -1,8 +1,8 @@
 """Exchangeable bootstrap with deterministic per-replicate RNG streams.
 
 Replicate r of sample s always uses the counter-based stream keyed by
-(seed, s, r), so results are bit-identical regardless of execution order,
-block size or worker count.  Replicates are drawn and evaluated in blocks
+(seed, s, r), so results are bit-identical regardless of the block size
+or the thread a run is on.  Replicates are drawn and evaluated in blocks
 of consecutive r; each thread keeps one Philox generator and resets it to
 the start of every stream it draws.
 """
@@ -10,7 +10,6 @@ the start of every stream it draws.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,7 @@ class BootstrapConfig:
     scheme: str = "multinomial"
     seed: int = 0
     alpha: float = 0.05
-    threads: int = 1
+    threads: int = 1  # for the procedures' row-chunk passes; replicates run serially
 
     def __post_init__(self):
         if self.R < 1:
@@ -186,10 +185,9 @@ def bootstrap_statistic_distribution(problem, config: BootstrapConfig) -> Bootst
     sample, row b of each drawn for the same replicate, it returns the B
     replicate statistics.
 
-    Replicates run in blocks of ``block_rows`` consecutive r; with more
-    than one thread the blocks run on a pool.  Every row is drawn from its
-    own stream, so the replicates do not depend on the block size or the
-    thread count.
+    Replicates run in blocks of ``block_rows`` consecutive r, in order, on
+    the calling thread.  Every row is drawn from its own stream, so the
+    replicates do not depend on the block size.
     """
     sizes = list(problem.sample_sizes)
     R, rows = config.R, problem.block_rows
@@ -205,12 +203,7 @@ def bootstrap_statistic_distribution(problem, config: BootstrapConfig) -> Bootst
             ws.append(w)
         return problem.replicate_stat(ws)
 
-    starts = range(0, R, rows)
-    if config.threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            reps = np.concatenate(list(pool.map(block, starts)))
-    else:
-        reps = np.concatenate([block(s) for s in starts])
+    reps = np.concatenate([block(start) for start in range(0, R, rows)])
     return BootstrapRun(
         replicates=reps,
         critical_value=critical_value(reps, config.alpha),
