@@ -1,15 +1,13 @@
 """Exchangeable bootstrap with deterministic per-replicate RNG streams.
 
 Replicate r of sample s always uses the counter-based stream keyed by
-(seed, s, r), so results are bit-identical regardless of the block size
-or the thread a run is on.  Replicates are drawn and evaluated in blocks
-of consecutive r; each thread keeps one Philox generator and resets it to
-the start of every stream it draws.
+(seed, s, r), so results are bit-identical regardless of the block size.
+Replicates are drawn and evaluated in blocks of consecutive r; a run keeps
+one Philox generator and resets it to the start of every stream it draws.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,17 +120,13 @@ def stream(seed: int, *ids: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(derive_seed(seed, *ids))))
 
 
-_local = threading.local()
 _ZEROS = np.zeros(4, dtype=np.uint64)
 
 
-def _reset_stream(key: np.ndarray) -> np.random.Generator:
-    """This thread's generator, reset to the start of the stream with
+def _reset_stream(gen: np.random.Generator, key: np.ndarray) -> np.random.Generator:
+    """The Philox generator ``gen``, reset to the start of the stream with
     Philox key ``key``: the state of a fresh ``Philox(key=key)`` (counter
     0, empty buffer, no spare 32-bit word), without building one."""
-    gen = getattr(_local, "generator", None)
-    if gen is None:
-        gen = _local.generator = np.random.Generator(np.random.Philox(key=key))
     gen.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": _ZEROS, "key": key},
@@ -192,6 +186,7 @@ def bootstrap_statistic_distribution(problem, config: BootstrapConfig) -> Bootst
     sizes = list(problem.sample_sizes)
     R, rows = config.R, problem.block_rows
     keys = [_keys(_replicate_seeds(config.seed, s, R)) for s in range(len(sizes))]
+    gen = np.random.Generator(np.random.Philox(key=keys[0][0]))
 
     def block(start: int) -> np.ndarray:
         rs = range(start, min(start + rows, R))
@@ -199,7 +194,7 @@ def bootstrap_statistic_distribution(problem, config: BootstrapConfig) -> Bootst
         for n, key in zip(sizes, keys):
             w = np.empty((len(rs), n))
             for row, r in zip(w, rs):
-                draw_weights(n, config.scheme, _reset_stream(key[r]), out=row)
+                draw_weights(n, config.scheme, _reset_stream(gen, key[r]), out=row)
             ws.append(w)
         return problem.replicate_stat(ws)
 

@@ -127,15 +127,16 @@ class TestVectorisedStreams:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_reset_generator_matches_a_fresh_stream(self, scheme):
         keys = _keys(_replicate_seeds(9, 1, 6))
+        gen = stream(0)
         for r, key in enumerate(keys):
-            gen = _reset_stream(keys[r - 1])
+            _reset_stream(gen, keys[r - 1])
             gen.random(1)  # takes one word of a four-word Philox block
             gen.integers(0, 2**32, 1, dtype=np.uint32)  # keeps a spare 32-bit half
             state = gen.bit_generator.state
             assert state["buffer_pos"] < 4 and state["has_uint32"] == 1
-            got = draw_weights(33, scheme, _reset_stream(key), out=np.empty(33))
+            got = draw_weights(33, scheme, _reset_stream(gen, key), out=np.empty(33))
             assert_array_equal(got, draw_weights(33, scheme, stream(9, 1, r)))
-            assert _reset_stream(key).bit_generator.state["state"]["counter"].tolist() == [0] * 4
+            assert _reset_stream(gen, key).bit_generator.state["state"]["counter"].tolist() == [0] * 4
 
 
 class TestWeights:
