@@ -12,7 +12,6 @@ one rank primitive, ``_ranks``."""
 from __future__ import annotations
 
 import io
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
@@ -43,6 +42,7 @@ DEFAULT_GRID_POINTS = 512
 MAX_GRID_POINTS = 1_000_000
 MAX_ARGMAX_CELLS = 16_000_000
 _CHUNK = 200_000  # cap on grid-by-sample work arrays
+_STRIDE = 64  # control jumps per block of the bound scan's coarse pass
 ORIENTATIONS = ("lower", "upper")
 
 
@@ -106,17 +106,22 @@ def _map_chunks(work, grid: Grid, width: int, threads: int = 1):
             yield ahead.popleft().result()
 
 
-def _ranks(j1: np.ndarray, rows: np.ndarray, scratch=None) -> tuple[np.ndarray, np.ndarray]:
+def _ranks(j1: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """#j1 < row and a mask of the rows that equal a j1 value, for every
     entry of ``rows``; #j1 <= row is their sum.  One searchsorted, then a
     tie test, since j1 is strictly increasing and so holds at most one value
     equal to a row entry, at position #j1 < row.  Where that position is
     past the end, every j1 is below the row, so the clipped take finds no
-    tie.  ``scratch`` is an optional pair of float and bool arrays of the
-    shape of ``rows`` for the take and the mask."""
-    vals, ties = scratch or (None, None)
+    tie."""
     lt = np.searchsorted(j1, rows)
-    return lt, np.equal(j1.take(lt, mode="clip", out=vals), rows, out=ties)
+    return lt, np.equal(j1.take(lt, mode="clip"), rows)
+
+
+def _blocks(a: np.ndarray) -> np.ndarray:
+    """``a`` as a (blocks, _STRIDE) array, the last block padded with a's
+    last entry."""
+    nb = -(-a.size // _STRIDE)
+    return np.concatenate((a, np.repeat(a[-1:], nb * _STRIDE - a.size))).reshape(nb, _STRIDE)
 
 
 def _scan(F1: StepCDF, F0: StepCDF, grid: Grid, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -135,29 +140,58 @@ def _scan(F1: StepCDF, F0: StepCDF, grid: Grid, threads: int = 1) -> tuple[np.nd
     dominated by a kept one: the result is bit-identical to a reduce over
     the whole family, and to the ECDF of the shifted sample X0 + x.
     Comparing j1 - x against j0 instead can flip an ordering at rounding
-    scale and pick up a different piece.  Each chunk of grid rows writes
-    only its own rows, so the result does not depend on ``threads``.
+    scale and pick up a different piece.
+
+    Few control jumps can hold a row's max or min, so each row is read in
+    two passes over blocks of _STRIDE consecutive control jumps, the last
+    block padded with the last jump (a repeated candidate changes no max or
+    min).  The coarse pass ranks only the block starts and the last jump.
+    They are candidates, so their max and min bound the row's result from
+    inside.  Within a block, row rises with p, and so do #j1 < row, #j1 <=
+    row and c0; rounding is monotone.  So each max-side value c1[#j1 < row]
+    - before is at most c1[#j1 < row at the next coarse key] - before[the
+    block's first jump], and each min-side value c1[#j1 <= row] + after is
+    at least c1[#j1 <= row at the first jump] + after[the last jump].  The
+    fine pass ranks in full only the blocks whose bound beats the coarse
+    max or min, and reduces them into it.  Equal parts give +0.0 in both
+    forms, never -0.0, so the max and min have the same bits whichever
+    candidates reach them.  Each chunk of grid rows writes only its own
+    rows, so the result does not depend on ``threads``.
     """
     j1, j0 = F1.jump_points, F0.jump_points
     c1 = np.concatenate(([0.0], F1.cum_probs))
     c0 = np.concatenate(([0.0], F0.cum_probs))
-    before = c0[:-1]  # F0-part just before each control jump
-    after = 1.0 - c0[1:]  # 1 - F0-part just after each control jump
+    before = _blocks(c0[:-1])  # F0-part just before each control jump
+    after = _blocks(1.0 - c0[1:])  # 1 - F0-part just after each control jump
+    jumps = _blocks(j0)
+    # coarse keys: each block's start, then the last control jump
+    keys = np.append(jumps[:, 0], j0[-1])
+    key_before = np.append(before[:, 0], before[-1, -1])
+    key_after = np.append(after[:, 0], after[-1, -1])
     lower, upper = np.empty((2, len(grid)))
-    shape = (_chunk_rows(grid, j0.size), j0.size)
-    local = threading.local()  # each thread's chunk buffers, reused through out=
 
     def scan(s):
-        if not hasattr(local, "rows"):
-            local.rows, local.vals = np.empty((2,) + shape)
-            local.ties = np.empty(shape, dtype=bool)
-        m = lower[s].size
-        rows = np.add(j0, grid.points[s, None], out=local.rows[:m])
-        vals = local.vals[:m]
-        lt, ties = _ranks(j1, rows, (vals, local.ties[:m]))
-        np.subtract(c1.take(lt, mode="clip", out=vals), before, out=vals).max(axis=1, out=lower[s])
+        xs = grid.points[s]
+        lt, ties = _ranks(j1, keys + xs[:, None])
+        top = c1.take(lt)
+        cap = top[:, 1:] - before[:, 0]  # max-side bound of each block
+        top -= key_before
         lt += ties
-        np.add(c1.take(lt, mode="clip", out=vals), after, out=vals).min(axis=1, out=upper[s])
+        bottom = c1.take(lt)
+        floor = bottom[:, :-1] + after[:, -1]  # min-side bound of each block
+        bottom += key_after
+        top, bottom = top.max(axis=1), bottom.min(axis=1)
+        row, block = np.nonzero((cap > top[:, None]) | (floor < bottom[:, None]))
+        if row.size:
+            lt, ties = _ranks(j1, jumps[block] + xs[row, None])
+            hi = (c1.take(lt) - before[block]).max(axis=1)
+            lt += ties
+            lo = (c1.take(lt) + after[block]).min(axis=1)
+            first = np.flatnonzero(np.diff(row, prepend=-1))
+            row = row[first]
+            top[row] = np.maximum(top[row], np.maximum.reduceat(hi, first))
+            bottom[row] = np.minimum(bottom[row], np.minimum.reduceat(lo, first))
+        lower[s], upper[s] = top, bottom
 
     for _ in _map_chunks(scan, grid, j0.size, threads):
         pass

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -89,10 +91,25 @@ def reference_structure(F1, F0, grid):
             i0r, i0l)
 
 
-def assert_kernel_matches_reference(F1, F0, grid):
-    lower, upper = makarov._scan(F1, F0, grid)
-    assert_array_equal(lower, reference_scan(F1, F0, grid, lambda a, b: a - b, np.max))
-    assert_array_equal(upper, reference_scan(F1, F0, grid, lambda a, b: (1.0 - b) + a, np.min))
+@pytest.fixture
+def strides(monkeypatch):
+    """An iterator that sets the bound scan's block stride to 1 (every
+    control jump its own block), 2 and 3 (a short last block on most
+    samples) and 64 (the default) in turn, yielding each."""
+    def each():
+        for S in (1, 2, 3, 64):
+            monkeypatch.setattr(makarov, "_STRIDE", S)
+            yield S
+    return each
+
+
+def assert_kernel_matches_reference(F1, F0, grid, strides):
+    lower = reference_scan(F1, F0, grid, lambda a, b: a - b, np.max)
+    upper = reference_scan(F1, F0, grid, lambda a, b: (1.0 - b) + a, np.min)
+    for S in strides():
+        got = makarov._scan(F1, F0, grid)
+        assert_array_equal(got[0], lower, err_msg=f"lower, stride {S}")
+        assert_array_equal(got[1], upper, err_msg=f"upper, stride {S}")
     s = DenseStructure(F1, F0, grid)
     i1r, i1l, i0r, i0l = reference_structure(F1, F0, grid)
     assert_array_equal(s.ia, np.concatenate((i1r, i1l), axis=1), err_msg="ia")
@@ -156,25 +173,28 @@ lattice_sample = st.lists(st.integers(-12, 12), min_size=1, max_size=12).map(
 class TestScanOracle:
     """``_scan`` against direct evaluation of D_x, bit for bit and before
     clipping, on tie-heavy samples where shifted control jumps collide with
-    treated jumps and with each other."""
+    treated jumps and with each other, at several block strides."""
 
+    # `strides` sets a module constant each example sets again in full
     @given(lattice_sample, lattice_sample, st.sampled_from([0.1, 0.05, 0.3]))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_direct_evaluation(self, X1, X0, step):
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_direct_evaluation(self, strides, X1, X0, step):
         F1, F0 = ecdf_build(X1), ecdf_build(X0)
         grid = default_grid(support_bounds(X1, X0), step)
-        lower, upper = makarov._scan(F1, F0, grid)
-        for k, x in enumerate(grid.points):
-            lo, hi = brute_extremes(F1, X0, x)
-            assert lower[k] == lo and upper[k] == hi, (k, x)
+        expect = [brute_extremes(F1, X0, x) for x in grid.points]
+        for S in strides():
+            lower, upper = makarov._scan(F1, F0, grid)
+            assert list(zip(lower, upper)) == expect, S
 
-    def test_ulp_spaced_control(self):
+    def test_ulp_spaced_control(self, strides):
         X0 = Sample(1.0 + np.arange(12) * np.spacing(1.0))
         X1 = Sample(8.0 + np.arange(-4, 8) * np.spacing(8.0))
         grid = Grid(points=7.0 + np.arange(-6, 7) * np.spacing(7.0), step=float(np.spacing(7.0)))
-        lower, upper = makarov._scan(ecdf_build(X1), ecdf_build(X0), grid)
-        for k, x in enumerate(grid.points):
-            assert (lower[k], upper[k]) == brute_extremes(ecdf_build(X1), X0, x), (k, x)
+        expect = [brute_extremes(ecdf_build(X1), X0, x) for x in grid.points]
+        for S in strides():
+            lower, upper = makarov._scan(ecdf_build(X1), ecdf_build(X0), grid)
+            assert list(zip(lower, upper)) == expect, S
 
 
 def tie_heavy_lattice_cases(count):
@@ -199,29 +219,30 @@ def ulp_spaced_case():
 
 class TestRowKernel:
     """The shared candidate-index kernel against the per-row searchsorted
-    reference, bit for bit: ``_scan`` directly, and ``_index_pairs``
-    through its two index arrays, both built on ``_ranks``; and the cells
-    ``MakarovStructure`` keeps, chunk by chunk, against the dense ones."""
+    reference, bit for bit: ``_scan`` directly, at several block strides,
+    and ``_index_pairs`` through its two index arrays, both built on
+    ``_ranks``; and the cells ``MakarovStructure`` keeps, chunk by chunk,
+    against the dense ones."""
 
-    def test_tie_heavy_lattice(self):
+    def test_tie_heavy_lattice(self, strides):
         for F1, F0, grid in tie_heavy_lattice_cases(60):
-            assert_kernel_matches_reference(F1, F0, grid)
+            assert_kernel_matches_reference(F1, F0, grid, strides)
 
-    def test_ulp_spaced_control_collides_after_shift(self):
+    def test_ulp_spaced_control_collides_after_shift(self, strides):
         F1, F0, grid = ulp_spaced_case()
         rows = F0.jump_points[None, :] + grid.points[:, None]
         assert np.all(np.any(np.diff(rows, axis=1) == 0, axis=1))
         assert np.any(np.isin(rows, F1.jump_points))
-        assert_kernel_matches_reference(F1, F0, grid)
+        assert_kernel_matches_reference(F1, F0, grid, strides)
 
-    def test_one_point_samples(self):
+    def test_one_point_samples(self, strides):
         cases = [([0.0], [0.0]), ([1.5], [-2.0, 0.3, 4.0]), ([-1.0, 0.2, 2.0], [0.7])]
         for x1, x0 in cases:
             X1, X0 = Sample(np.array(x1)), Sample(np.array(x0))
             grid = default_grid(support_bounds(X1, X0), 0.25)
-            assert_kernel_matches_reference(ecdf_build(X1), ecdf_build(X0), grid)
+            assert_kernel_matches_reference(ecdf_build(X1), ecdf_build(X0), grid, strides)
 
-    def test_grid_not_a_multiple_of_the_chunk(self, monkeypatch):
+    def test_grid_not_a_multiple_of_the_chunk(self, monkeypatch, strides):
         rng = np.random.default_rng(22)
         X1, X0 = Sample(np.round(rng.normal(0, 1, 17), 1)), Sample(rng.normal(0, 1, 12))
         F1, F0 = ecdf_build(X1), ecdf_build(X0)
@@ -230,7 +251,7 @@ class TestRowKernel:
         for rows in (1, 3, 7):
             assert rows == 1 or len(grid) % rows, "the last chunk should be short"
             monkeypatch.setattr(makarov, "_CHUNK", rows * width)
-            assert_kernel_matches_reference(F1, F0, grid)
+            assert_kernel_matches_reference(F1, F0, grid, strides)
 
 
 class TestThreadedChunks:
@@ -246,14 +267,15 @@ class TestThreadedChunks:
 
     @pytest.mark.parametrize("rows", [1, 3, 7])
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_scan(self, case, rows, threads, monkeypatch):
+    def test_scan(self, case, rows, threads, monkeypatch, strides):
         F1, F0, grid = case
         lower, upper = makarov._scan(F1, F0, grid)
         monkeypatch.setattr(makarov, "_CHUNK", rows * F0.jump_points.size)
         assert len(list(makarov._chunks(grid, F0.jump_points.size))) > threads
-        got = makarov._scan(F1, F0, grid, threads)
-        assert_array_equal(got[0], lower)
-        assert_array_equal(got[1], upper)
+        for S in strides():
+            got = makarov._scan(F1, F0, grid, threads)
+            assert_array_equal(got[0], lower, err_msg=f"lower, stride {S}")
+            assert_array_equal(got[1], upper, err_msg=f"upper, stride {S}")
 
     @pytest.mark.parametrize("rows", [1, 3, 7])
     @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -274,6 +296,86 @@ class TestThreadedChunks:
         F1, F0, grid = ulp_spaced_case()
         with pytest.raises(ValueError, match="thread count"):
             makarov._scan(F1, F0, grid, 0)
+
+
+@st.composite
+def pruning_cases(draw):
+    """(stride, F1, F0, grid) with up to 400 distinct control jumps, or a
+    count at a block edge of the stride: a 0.05 lattice (shifted jumps
+    collide), control jumps 1 ulp apart (they tie once shifted), normal
+    samples, and interleaved lattices whose objective is flat, so that most
+    blocks reach the row's max or min."""
+    S = draw(st.integers(2, 8))
+    n0 = draw(st.one_of(st.sampled_from([1, S - 1, S, S + 1, 2 * S]), st.integers(1, 400)))
+    n1 = draw(st.integers(1, 400))
+    kind = draw(st.sampled_from(["lattice", "ulp", "normal", "flat"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ulp":
+        X0 = Sample(1.0 + np.arange(n0) * np.spacing(1.0))
+        X1 = Sample(np.concatenate((8.0 + rng.integers(-n0, 2 * n0, n1) * np.spacing(8.0),
+                                    rng.normal(8.0, 1.0, 3))))
+        xs = 7.0 + np.arange(-20, 21) * np.spacing(7.0)
+        return S, ecdf_build(X1), ecdf_build(X0), Grid(points=xs, step=float(np.spacing(7.0)))
+    if kind == "lattice":
+        X0 = Sample((rng.choice(401, n0, replace=False) - 200) * 0.05)
+        X1 = Sample(rng.integers(-200, 201, n1) * 0.05)
+        step = 0.1
+    else:
+        if kind == "normal":
+            X0, X1 = Sample(rng.normal(0.3, 1.2, n0)), Sample(rng.normal(0.0, 1.0, n1))
+        else:
+            X0, X1 = Sample((np.arange(n0) + 0.5) / n1), Sample(np.arange(n1) / n1)
+        lo, hi = support_bounds(X1, X0).global_range
+        step = (hi - lo) / 40 or None
+    return S, ecdf_build(X1), ecdf_build(X0), default_grid(support_bounds(X1, X0), step)
+
+
+def normal_pair(n, seed):
+    rng = np.random.default_rng(seed)
+    X1, X0 = Sample(rng.normal(0.5, 1.0, n)), Sample(rng.normal(0.0, 1.0, n))
+    return ecdf_build(X1), ecdf_build(X0), default_grid(support_bounds(X1, X0))
+
+
+class TestPrunedScan:
+    """The two-pass scan on samples of many blocks, against the per-row
+    reference; and the share of candidates it ranks and the memory it
+    holds at large n."""
+
+    @given(pruning_cases())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_reference(self, monkeypatch, case):
+        S, F1, F0, grid = case
+        assert F0.jump_points.size <= 400
+        monkeypatch.setattr(makarov, "_STRIDE", S)
+        lower, upper = makarov._scan(F1, F0, grid)
+        assert_array_equal(lower, reference_scan(F1, F0, grid, lambda a, b: a - b, np.max))
+        assert_array_equal(upper, reference_scan(F1, F0, grid, lambda a, b: (1.0 - b) + a, np.min))
+
+    def test_ranks_a_tenth_of_the_candidates(self, monkeypatch):
+        F1, F0, grid = normal_pair(20_000, seed=3)
+        ranked = []
+
+        def counted(j1, rows):
+            ranked.append(rows.size)
+            return ranks(j1, rows)
+
+        ranks = makarov._ranks
+        monkeypatch.setattr(makarov, "_ranks", counted)
+        makarov._scan(F1, F0, grid)
+        assert sum(ranked) < 0.1 * len(grid) * F0.jump_points.size
+
+    def test_peak_at_n_1e5_on_two_threads(self):
+        # the one-pass scan held two float and one bool row-by-sample work
+        # arrays per thread: a 12 MB peak here
+        F1, F0, grid = normal_pair(100_000, seed=4)
+        tracemalloc.start()
+        try:
+            makarov._scan(F1, F0, grid, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 class TestStructure:
