@@ -30,10 +30,8 @@ from .derivative import (
 from .empirical import Sample, ecdf_build
 from .makarov import (
     MakarovStructure,
+    _sample_grid,
     _scan,
-    SupportInfo,
-    default_grid,
-    support_bounds,
     upper_bound,
 )
 from .stats import StatKind, dominance_stat
@@ -141,7 +139,7 @@ def _plugin(X1: Sample, X0: Sample, grid: Grid | None, step: float | None,
     threads = config.threads if config else 1
     F1, F0 = ecdf_build(X1), ecdf_build(X0)
     if grid is None:
-        grid = default_grid(support_bounds(X1, X0), step)
+        grid = _sample_grid(X0, (X1,), step)
     structure = MakarovStructure(F1, F0, grid, a_n, orientations, threads)
     return structure, np.clip(_scan(F1, F0, grid, threads), 0.0, 1.0)
 
@@ -270,9 +268,7 @@ def dominance_test(X0: Sample, XA: Sample, XB: Sample, alpha: float = 0.05,
     tuning = tuning or Tuning(n=len(X0) + len(XA) + len(XB))
     F0, FA, FB = ecdf_build(X0), ecdf_build(XA), ecdf_build(XB)
     if grid is None:
-        lo = min(XA.min, XB.min) - X0.max  # the union of both pairs' ranges
-        hi = max(XA.max, XB.max) - X0.min
-        grid = default_grid(SupportInfo((lo, hi), (lo, hi), (lo, hi)), step)
+        grid = _sample_grid(X0, (XA, XB), step)  # the union of both pairs' ranges
     if orientation == "necessary":
         orientA, orientB, integrand_sign = "lower", "upper", 1.0
     else:

@@ -416,6 +416,17 @@ def default_grid(support: SupportInfo, step: float | None = None) -> Grid:
     return Grid(points=points, step=float(step))
 
 
+def _sample_grid(X0: Sample, treated, step: float | None) -> Grid:
+    """``default_grid`` over the range of x1 - x0 for x1 in any of the
+    ``treated`` samples and x0 in X0, from the sample extremes alone: the
+    grid reads only the global range, so the quantile-gap supports of
+    ``support_bounds`` are not computed; each is set to the range, which
+    holds it."""
+    lo = min(X.min for X in treated) - X0.max
+    hi = max(X.max for X in treated) - X0.min
+    return default_grid(SupportInfo((lo, hi), (lo, hi), (lo, hi)), step)
+
+
 def compute_bounds(X1: Sample, X0: Sample, grid: Grid | None = None, step: float | None = None,
                    threads: int = 1) -> BoundPair:
     """Plug-in lower and upper bounds on ``grid`` (by default the padded
@@ -423,7 +434,7 @@ def compute_bounds(X1: Sample, X0: Sample, grid: Grid | None = None, step: float
     threads; the result does not depend on the thread count."""
     F1, F0 = ecdf_build(X1), ecdf_build(X0)
     if grid is None:
-        grid = default_grid(support_bounds(X1, X0), step)
+        grid = _sample_grid(X0, (X1,), step)
     lower, upper = _scan(F1, F0, grid, threads)
     return BoundPair(lower=_clamped(lower, grid), upper=_clamped(upper, grid), grid=grid)
 

@@ -499,6 +499,23 @@ class TestDefaultGrid:
             with pytest.raises(ValueError, match="positive and finite"):
                 default_grid(info, step)
 
+    def test_sample_grid_is_the_support_grid(self):
+        # the grid from the sample extremes alone, byte for byte the one
+        # from support_bounds; with two treated samples, over both ranges
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            X1, X0 = random_pair(rng)
+            XB = Sample(rng.normal(1.0, 2.0, 5))
+            for step in (None, 0.07):
+                want = default_grid(support_bounds(X1, X0), step)
+                got = makarov._sample_grid(X0, (X1,), step)
+                assert got.points.tobytes() == want.points.tobytes() and got.step == want.step
+                lo = min(X1.min, XB.min) - X0.max
+                hi = max(X1.max, XB.max) - X0.min
+                want = default_grid(SupportInfo((lo, hi), (lo, hi), (lo, hi)), step)
+                got = makarov._sample_grid(X0, (X1, XB), step)
+                assert got.points.tobytes() == want.points.tobytes() and got.step == want.step
+
     def test_covers_range(self):
         rng = np.random.default_rng(13)
         for _ in range(30):
