@@ -70,14 +70,9 @@ class BoundPair:
     grid: Grid
 
 
-def _chunk_rows(grid: Grid, width: int) -> int:
-    """Grid rows per chunk, so that row-by-width work arrays stay near _CHUNK cells."""
-    return min(len(grid), max(1, _CHUNK // max(1, width)))
-
-
 def _chunks(grid: Grid, width: int):
     """Slices of grid rows whose row-by-width work arrays stay near _CHUNK cells."""
-    rows = _chunk_rows(grid, width)
+    rows = max(1, _CHUNK // max(1, width))
     for s in range(0, len(grid), rows):
         yield slice(s, s + rows)
 
@@ -182,15 +177,14 @@ def _scan(F1: StepCDF, F0: StepCDF, grid: Grid, threads: int = 1) -> tuple[np.nd
         bottom += key_after
         top, bottom = top.max(axis=1), bottom.min(axis=1)
         row, block = np.nonzero((cap > top[:, None]) | (floor < bottom[:, None]))
-        if row.size:
-            lt, ties = _ranks(j1, jumps[block] + xs[row, None])
-            hi = (c1.take(lt) - before[block]).max(axis=1)
-            lt += ties
-            lo = (c1.take(lt) + after[block]).min(axis=1)
-            first = np.flatnonzero(np.diff(row, prepend=-1))
-            row = row[first]
-            top[row] = np.maximum(top[row], np.maximum.reduceat(hi, first))
-            bottom[row] = np.minimum(bottom[row], np.minimum.reduceat(lo, first))
+        lt, ties = _ranks(j1, jumps[block] + xs[row, None])
+        hi = (c1.take(lt) - before[block]).max(axis=1)
+        lt += ties
+        lo = (c1.take(lt) + after[block]).min(axis=1)
+        first = np.flatnonzero(np.diff(row, prepend=-1))
+        row = row[first]
+        top[row] = np.maximum(top[row], np.maximum.reduceat(hi, first))
+        bottom[row] = np.minimum(bottom[row], np.minimum.reduceat(lo, first))
         lower[s], upper[s] = top, bottom
 
     for _ in _map_chunks(scan, grid, j0.size, threads):
