@@ -134,14 +134,15 @@ def _plugin(X1: Sample, X0: Sample, grid: Grid | None, step: float | None,
             a_n: float, orientations: tuple[str, ...], config: BootstrapConfig | None):
     """Near-argmax candidates of the given orientations, from one pass, and
     the clipped (lower, upper) plug-in bounds, from the scan behind `bounds`
-    output so that band centers match it bit for bit.  Both run their row
-    chunks on the config's threads."""
+    output so that band centers match it bit for bit.  The candidate pass
+    runs its row chunks on the config's threads, the scan on one thread,
+    as ``bounds`` does (see ``compute_bounds``)."""
     threads = config.threads if config else 1
     F1, F0 = ecdf_build(X1), ecdf_build(X0)
     if grid is None:
         grid = _sample_grid(X0, (X1,), step)
     structure = MakarovStructure(F1, F0, grid, a_n, orientations, threads)
-    return structure, np.clip(_scan(F1, F0, grid, threads), 0.0, 1.0)
+    return structure, np.clip(_scan(F1, F0, grid), 0.0, 1.0)
 
 
 def uniform_band(which: str, X1: Sample, X0: Sample, alpha: float = 0.05,

@@ -425,7 +425,15 @@ def compute_bounds(X1: Sample, X0: Sample, grid: Grid | None = None, step: float
                    threads: int = 1) -> BoundPair:
     """Plug-in lower and upper bounds on ``grid`` (by default the padded
     ``default_grid``), with the bound scan's row chunks on ``threads``
-    threads; the result does not depend on the thread count."""
+    threads; the result does not depend on the thread count.
+
+    The pruned scan's chunks are small (2 grid rows of 1 key per _STRIDE
+    control jumps at n = 1e5 per arm), so a second thread mostly trades the
+    GIL with the first: on two cores it was no faster on smooth data and
+    its time spread several times wider, doubling when the host took the
+    other core.  It pays only when most blocks are ranked in full (a flat
+    objective).  The CLI and the band centers therefore scan on one
+    thread."""
     F1, F0 = ecdf_build(X1), ecdf_build(X0)
     if grid is None:
         grid = _sample_grid(X0, (X1,), step)

@@ -9,6 +9,7 @@ import pytest
 
 from vfi import cli, makarov
 from vfi.cli import run_cli
+from vfi.empirical import load_sample_csv
 from vfi.simulate import ExperimentConfig
 
 CLI = [sys.executable, "-m", "vfi.cli"]
@@ -64,8 +65,13 @@ class TestBounds:
             for _ in range(2):
                 outs.add(run(*args, "--threads", threads).stdout)
         assert outs == {golden}
-        # these inputs fit one chunk; with one grid row per chunk the pool runs
+        # these inputs fit one chunk; with one grid row per chunk the scan's
+        # pool runs under compute_bounds' threads (the CLI scans on one)
         monkeypatch.setattr(makarov, "_CHUNK", 1)
+        X1, X0 = (load_sample_csv(GOLDEN / "inputs" / f"{arm}.csv", label=arm)
+                  for arm in ("treated", "control"))
+        for threads in (1, 4):
+            assert makarov.bounds_to_csv(makarov.compute_bounds(X1, X0, threads=threads)) == golden
         for threads in ("1", "4"):
             out = tmp_path / f"bounds_{threads}.csv"
             assert run_cli(args + ["--threads", threads, "--output", str(out)]) == 0
