@@ -103,10 +103,8 @@ def _directions(structure: MakarovStructure, d1: np.ndarray, d0: np.ndarray,
 class _BandProblem:
     """Bootstrap problem for one bound function's sup-norm statistic.
 
-    It evaluates one replicate per call: at n = 1e3 per arm a band
-    replicate keeps about 57,000 cells, past ``BLOCK_CELLS``, so the cap
-    allows no more there, and ``bench/traced.py`` counts one replicate per
-    ``replicate_stat`` call."""
+    It evaluates one replicate per call, since ``bench/traced.py`` counts
+    one replicate per ``replicate_stat`` call."""
 
     block_rows = 1
 

@@ -2,12 +2,13 @@
 
 The lower/upper bound functions are suprema/infima of a difference of two
 step CDFs, piecewise constant in u with jumps only at the event set
-{treated points} union {control points + x}.  The bootstrap structure reads
-every event's right value and left limit and keeps the near-argmax ones;
-the plug-in bounds need only the left limits (sup) and right values (inf)
-at shifted control points.  Both
-read where the shifted control points fall among the treated points from
-one rank primitive, ``_ranks``."""
+{treated points} union {control points + x}.  It is constant between
+consecutive events, so the right values at every event and the pair
+(0, 0), the left limit at the first event, hold every left limit too.
+The bootstrap structure reads those and keeps the near-argmax ones; the
+plug-in bounds need only the left limits (sup) and right values (inf) at
+shifted control points.  Both read where the shifted control points fall
+among the treated points from one rank primitive, ``_ranks``."""
 
 from __future__ import annotations
 
@@ -122,7 +123,7 @@ def _blocks(a: np.ndarray) -> np.ndarray:
 def _scan(F1: StepCDF, F0: StepCDF, grid: Grid, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Per grid x, the max of F1-part - F0-part and the min of (1 - F0-part)
     + F1-part over the candidates that dominate the rest of the family of
-    ``MakarovStructure`` (every event's right value and left limit), read
+    ``MakarovStructure`` (every event's right value, and (0, 0)), read
     through the same ``_ranks``.
 
     With the control jumps at row = j0 + x (u-space), D_x(u) = F1(u) -
@@ -214,60 +215,55 @@ def upper_bound(F1: StepCDF, F0: StepCDF, grid: Grid) -> ValueFunction:
 
 def _index_pairs(j1: np.ndarray, j0: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (ia, ib) of every candidate on the grid rows ``xs``, as
-    two rows x 2M arrays in the objective's column order: right values of
-    [treated | control], then their left limits.  ``ia`` indexes the F1
-    cumulative array and ``ib`` the F0 one."""
+    two rows x (M + 1) arrays in the objective's column order: right values
+    of [treated | control], then (0, 0).  ``ia`` indexes the F1 cumulative
+    array and ``ib`` the F0 one.  The left limit at an event is the pair of
+    the right value at the event before it, or (0, 0) at the first event,
+    and a reweighting jumps at the same events, so the left limits would
+    repeat pairs, and their values in every bootstrap replicate."""
     n1, n0 = j1.size, j0.size
     M, m = n1 + n0, xs.size
-    ia = np.empty((m, 2 * M), dtype=np.intp)
-    ib = np.empty_like(ia)
-    # treated candidate i: #j1 <= j1[i] is i + 1 and #j1 < j1[i] is i
+    ia = np.zeros((m, M + 1), dtype=np.intp)
+    ib = np.zeros_like(ia)
+    # treated candidate i: #j1 <= j1[i] is i + 1
     ia[:, :n1] = np.arange(1, n1 + 1)
-    ia[:, M:M + n1] = np.arange(n1)
     # compared in u-space, where the control jumps sit at row = j0 + x;
     # row is non-decreasing (j0 is increasing and rounding monotone),
     # so its ties come only from rounding in the shift
     rows = j0[None, :] + xs[:, None]
     lt_j, ties = _ranks(j1, rows)
-    le_j = lt_j + ties
-    ia[:, n1:M], ia[:, M + n1:] = le_j, lt_j
-    # runs of equal values in each row: #row < row is the start of
-    # the run, #row <= row its end (found from the right)
-    pos = np.arange(n0)
-    starts = np.ones((m, n0), dtype=bool)
-    np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
-    lt_c = np.where(starts, pos, 0)
-    np.maximum.accumulate(lt_c, axis=1, out=ib[:, M + n1:])
+    np.add(lt_j, ties, out=ia[:, n1:M])
+    # #row <= row[p] is one past the end of p's run of equal values,
+    # found from the right
     ends = np.ones((m, n0), dtype=bool)
-    ends[:, :-1] = starts[:, 1:]
-    le_c = np.where(ends[:, ::-1], n0 - pos, n0)
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=ends[:, :-1])
+    le_c = np.where(ends[:, ::-1], n0 - np.arange(n0), n0)
     np.minimum.accumulate(le_c, axis=1, out=le_c)
     ib[:, n1:M] = le_c[:, ::-1]
-    # row[p] <= j1[i] iff #j1 < row[p] is at most i, and row[p] <
-    # j1[i] iff #j1 <= row[p] is at most i: so #row <= j1[i] and
-    # #row < j1[i] are cumulative counts of the two control ranks
+    # row[p] <= j1[i] iff #j1 < row[p] is at most i, so #row <= j1[i]
+    # is a cumulative count of the control ranks
     off = (n1 + 1) * np.arange(m)[:, None]
-    for rank, col in ((lt_j, 0), (le_j, M)):
-        hist = np.bincount((rank + off).ravel(), minlength=m * (n1 + 1))
-        np.cumsum(hist.reshape(m, n1 + 1)[:, :n1], axis=1, out=ib[:, col:col + n1])
+    hist = np.bincount((lt_j + off).ravel(), minlength=m * (n1 + 1))
+    np.cumsum(hist.reshape(m, n1 + 1)[:, :n1], axis=1, out=ib[:, :n1])
     return ia, ib
 
 
 class MakarovStructure:
     """Near-argmax candidates of the objective Pi(F)(u, x) = F1(u) - F0(u - x).
 
-    Candidates for each grid x are the event points {F1 jumps} union
-    {F0 jumps + x}, each taken right-continuously and as a left limit; a
-    candidate's value is c1[ia] - c0[ib] for its index pair (``_index_pairs``).
-    One pass over chunks of grid rows builds each chunk's index pairs and
-    values and keeps, per orientation ("lower": the objective, "upper": its
-    negation), only the cells within ``a_n`` of their row's maximum, with
-    their index pairs.  Memory is O(chunk + kept cells); the whole K x 2M
-    candidate matrix is never held.  With ``threads`` > 1 the chunks run on
-    a thread pool and their cells are concatenated in chunk order, so the
-    result does not depend on the thread count.  Bootstrap directions jump
-    at the same event points, so any reweighting of the same observations
-    is evaluated exactly through the kept index pairs.
+    Candidates for each grid x are the right values at the event points
+    {F1 jumps} union {F0 jumps + x} and the pair (0, 0), which hold every
+    left limit too (``_index_pairs``); a candidate's value is c1[ia] -
+    c0[ib] for its index pair.  One pass over chunks of grid rows builds
+    each chunk's index pairs and values and keeps, per orientation
+    ("lower": the objective, "upper": its negation), only the cells within
+    ``a_n`` of their row's maximum, with their index pairs.  Memory is
+    O(chunk + kept cells); the whole K x (M + 1) candidate matrix is never
+    held.  With ``threads`` > 1 the chunks run on a thread pool and their
+    cells are concatenated in chunk order, so the result does not depend
+    on the thread count.  Bootstrap directions jump at the same event
+    points, so any reweighting of the same observations is evaluated
+    exactly through the kept index pairs.
     """
 
     def __init__(self, F1: StepCDF, F0: StepCDF, grid: Grid, a_n: float,
@@ -280,7 +276,7 @@ class MakarovStructure:
         self.c0 = np.concatenate(([0.0], F0.cum_probs))
         j1, j0 = F1.jump_points, F0.jump_points
         M = j1.size + j0.size
-        width = 2 * M
+        width = M + 1
         wanted = [o for o in ORIENTATIONS if o in orientations]
         row_max = {o: np.empty(len(grid)) for o in wanted}
 

@@ -2,7 +2,7 @@
 
 ``MakarovStructure`` keeps only the near-argmax cells of one pass over
 chunks of grid rows; this holds the index pairs of every candidate (two
-K x 2M arrays) and builds the whole objective, as the package did before.
+K x (M + 1) arrays) and builds the whole objective, as the package did before.
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ class DenseStructure:
         self.c0 = np.concatenate(([0.0], F0.cum_probs))
 
     def evaluate(self, d1, d0):
-        """g1(u) - g0(u - x) over all candidates (K x 2M)."""
+        """g1(u) - g0(u - x) over all candidates (K x (M + 1))."""
         out = d1[self.ia]
         out -= d0[self.ib]
         return out

@@ -72,7 +72,7 @@ class TestMemory:
     def test_bound_bands_peak_at_n_1e3(self):
         # the dense candidate path held ia, ib and the objective (K x 2M each,
         # K = 515 grid rows, 2M = 4000 candidates): a 67 MB peak here; the
-        # streamed pass holds one chunk of rows and the kept cells (27 MB)
+        # streamed pass holds one chunk of rows and the kept cells (9 MB)
         X1, X0 = normal_samples(12, n=1000, shift=0.5)
         tracemalloc.start()
         try:

@@ -112,8 +112,15 @@ def assert_kernel_matches_reference(F1, F0, grid, strides):
         assert_array_equal(got[1], upper, err_msg=f"upper, stride {S}")
     s = DenseStructure(F1, F0, grid)
     i1r, i1l, i0r, i0l = reference_structure(F1, F0, grid)
-    assert_array_equal(s.ia, np.concatenate((i1r, i1l), axis=1), err_msg="ia")
-    assert_array_equal(s.ib, np.concatenate((i0r, i0l), axis=1), err_msg="ib")
+    tail = np.zeros((len(grid), 1), dtype=np.intp)
+    assert_array_equal(s.ia, np.concatenate((i1r, tail), axis=1), err_msg="ia")
+    assert_array_equal(s.ib, np.concatenate((i0r, tail), axis=1), err_msg="ib")
+    # the right values and (0, 0) reach the max of all four blocks, bit for bit
+    family = s.c1[np.concatenate((i1r, i1l), axis=1)] - s.c0[np.concatenate((i0r, i0l), axis=1)]
+    streamed = MakarovStructure(F1, F0, grid, a_n=0.15)
+    for o, values in (("lower", family), ("upper", -family)):
+        got = streamed.near_argmax(o).row_max
+        assert got.tobytes() == values.max(axis=1).tobytes(), f"{o} row max"
     # the streamed pass, chunk by chunk, keeps the dense structure's cells
     assert_streamed_matches_dense(F1, F0, grid, a_n=0.15)
 
@@ -217,6 +224,32 @@ def ulp_spaced_case():
     return ecdf_build(X1), ecdf_build(X0), Grid(points=xs, step=float(np.spacing(7.0)))
 
 
+@st.composite
+def pair_family_cases(draw):
+    """(F1, F0, grid) on which shifted control jumps tie with each other or
+    with treated jumps: a 0.05 lattice, control jumps 1 ulp apart that
+    collide once shifted, and treated jumps placed on shifted control
+    jumps; often one of the samples has a single point."""
+    size = st.one_of(st.just(1), st.integers(1, 40))
+    n1, n0 = draw(size), draw(size)
+    kind = draw(st.sampled_from(["lattice", "ulp", "coincide"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ulp":
+        X0 = Sample(1.0 + np.arange(n0) * np.spacing(1.0))
+        X1 = Sample(8.0 + rng.integers(-n0, 2 * n0, n1) * np.spacing(8.0))
+        xs = 7.0 + np.arange(-20, 21) * np.spacing(7.0)
+        return ecdf_build(X1), ecdf_build(X0), Grid(points=xs, step=float(np.spacing(7.0)))
+    X0 = Sample(rng.integers(-40, 41, n0) * 0.05)
+    X1 = Sample(rng.integers(-40, 41, n1) * 0.05)
+    grid = default_grid(support_bounds(X1, X0), 0.05)
+    if kind == "coincide":
+        # treated jumps at j0 + x for a few grid x, as the kernel computes them
+        x = rng.choice(grid.points, 3)
+        shifted = (np.unique(X0.values)[None, :] + x[:, None]).ravel()
+        X1 = Sample(np.concatenate((X1.values[:-1], rng.choice(shifted, n1))))
+    return ecdf_build(X1), ecdf_build(X0), grid
+
+
 class TestRowKernel:
     """The shared candidate-index kernel against the per-row searchsorted
     reference, bit for bit: ``_scan`` directly, at several block strides,
@@ -241,6 +274,18 @@ class TestRowKernel:
             X1, X0 = Sample(np.array(x1)), Sample(np.array(x0))
             grid = default_grid(support_bounds(X1, X0), 0.25)
             assert_kernel_matches_reference(ecdf_build(X1), ecdf_build(X0), grid, strides)
+
+    @given(pair_family_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_pairs_equal_four_block_family(self, case):
+        # the left limits repeat right-value pairs or (0, 0), so no pair is lost
+        F1, F0, grid = case
+        ia, ib = makarov._index_pairs(F1.jump_points, F0.jump_points, grid.points)
+        assert ia.shape == ib.shape == (len(grid), F1.jump_points.size + F0.jump_points.size + 1)
+        i1r, i1l, i0r, i0l = reference_structure(F1, F0, grid)
+        ra, rb = np.concatenate((i1r, i1l), axis=1), np.concatenate((i0r, i0l), axis=1)
+        for k in range(len(grid)):
+            assert set(zip(ia[k], ib[k])) == set(zip(ra[k], rb[k])), grid.points[k]
 
     def test_grid_not_a_multiple_of_the_chunk(self, monkeypatch, strides):
         rng = np.random.default_rng(22)
@@ -410,9 +455,9 @@ class TestStructure:
         grid = default_grid(support_bounds(X1, X0), 0.1)
         width = F1.jump_points.size + F0.jump_points.size
         monkeypatch.setattr(makarov, "_CHUNK", width)  # one grid row per chunk
-        # a slack this large keeps all 2M = 2 * width cells of a row, for
-        # each orientation: the fourth row passes three rows' worth
-        limit = 3 * 2 * 2 * width
+        # a slack this large keeps all M + 1 = width + 1 cells of a row,
+        # for each orientation: the fourth row passes three rows' worth
+        limit = 3 * 2 * (width + 1)
         monkeypatch.setattr(makarov, "MAX_ARGMAX_CELLS", limit)
         rows = []
 
@@ -429,8 +474,8 @@ class TestStructure:
         with pytest.raises(ArgmaxBudgetError, match=f"{limit} near-argmax"):
             MakarovStructure(F1, F0, grid, a_n=10.0)
         assert len(rows) == 4 < len(grid)
-        # the limit itself is allowed: one orientation keeps 2M cells a row
-        monkeypatch.setattr(makarov, "MAX_ARGMAX_CELLS", len(grid) * 2 * width)
+        # the limit itself is allowed: one orientation keeps M + 1 cells a row
+        monkeypatch.setattr(makarov, "MAX_ARGMAX_CELLS", len(grid) * (width + 1))
         MakarovStructure(F1, F0, grid, a_n=10.0, orientations=("lower",))
 
     @pytest.mark.parametrize("threads", [2, 3])

@@ -31,7 +31,7 @@ def _dense_row_sup(h, per_x):
 
 
 class _DenseBand:
-    """Sup-statistic replicates from h on all K x 2M candidates."""
+    """Sup-statistic replicates from h on all K x (M + 1) candidates."""
 
     def __init__(self, which, X1, X0, grid, tuning):
         self.sample_sizes = [len(X1), len(X0)]
