@@ -1,6 +1,23 @@
 """Uniform inference for optimal value functions, specialized to bound
 functions for treatment-effect distributions."""
 
+import importlib
+import os
+import sys
+
+# numpy's OpenBLAS starts a worker thread per core as numpy is imported, and
+# each spins on a core for a while.  vfi makes no BLAS call (a test in
+# tests/test_startup.py scans for one), so one thread is enough.  OpenBLAS
+# reads the variable only as it loads, so it is removed again once numpy is
+# in and child processes do not inherit it.  A value the user set wins; a
+# program that imported numpy first keeps its pool.
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        importlib.import_module("numpy")
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .empirical import Sample, StepCDF, ecdf_build, load_sample_csv, weighted_ecdf
 from .valuemap import Grid, GriddedObjective, ValueFunction, negate, psi
 from .makarov import (

@@ -8,9 +8,9 @@ limits matters more than speed here.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -164,48 +164,71 @@ def load_sample_csv(path, column=None, label: str | None = None) -> Sample:
     non-numeric cell and holds that name; otherwise a string of digits is
     an index.  With an index, the first row is a header when its cell in
     that column is not a number.  Rows whose cells are all blank are
-    skipped.
+    skipped.  The file is read as UTF-8; a leading byte-order mark is
+    dropped.
+
+    The file is read once.  Only its first non-blank row is parsed to
+    decide the header and column; numpy's C reader then converts the
+    column.  Text it does not read cleanly (a cell spelled ``1_000``, a
+    whitespace-only row, a row without the column, a non-finite value, no
+    rows) is parsed again row by row, which accepts every spelling
+    ``float`` does and reports the first bad line.  So a pipe or FIFO
+    path loads as a regular file does.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        text = fh.read()
+    reader = csv.reader(io.StringIO(text, newline=""))
+    skip = 0  # lines before the first data row
     # the first row with a non-blank cell: a header or the first data row
-    start = next((i for i, r in enumerate(rows) if any(cell.strip() for cell in r)), None)
-    if start is None:
-        raise CsvParseError(f"{path}: no data rows")
-
-    col_idx = 0
-    names = [c.strip() for c in rows[start]]
-    if isinstance(column, str) and column in names and not all(map(_is_number, names)):
-        col_idx = names.index(column)
-        start += 1
+    for start, first in enumerate(reader):
+        if any(cell.strip() for cell in first):
+            break
+        skip = reader.line_num
     else:
-        if isinstance(column, str):
-            if not (column.isascii() and column.isdigit()):
-                raise CsvParseError(f"{path}: column {column!r} not found in header")
-            column = int(column)
-        if column is not None:
-            col_idx = int(column)
-        try:
-            float(names[col_idx])
-        except (ValueError, IndexError):
-            start += 1
+        raise CsvParseError(f"{path}: no data rows")
+    col_idx, header = _column_index(path, first, column)
+    if header:
+        start, skip = start + 1, reader.line_num
 
-    values = _fast_column(rows[start:], col_idx)
+    # a header with no non-empty row after it goes straight to the row loop
+    # (numpy would warn of no data)
+    values = _c_column(text, col_idx, skip) if not header or any(reader) else None
     if values is None:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
         values = _checked_column(path, rows, start, col_idx)
     return Sample(values, label=label or path.stem)
 
 
-def _fast_column(rows: list[list[str]], col_idx: int) -> np.ndarray | None:
-    """Column ``col_idx`` of the non-empty ``rows`` as floats, converted in
-    one pass; None when a row lacks the column, a cell is not a finite
-    number (a whitespace-only row among them) or no row is left, for
-    ``_checked_column`` to report or skip row by row."""
+def _column_index(path: Path, first: list[str], column) -> tuple[int, bool]:
+    """The index of ``column`` and whether ``first``, the first non-blank
+    row, is a header."""
+    names = [c.strip() for c in first]
+    if isinstance(column, str) and column in names and not all(map(_is_number, names)):
+        return names.index(column), True
+    if isinstance(column, str):
+        if not (column.isascii() and column.isdigit()):
+            raise CsvParseError(f"{path}: column {column!r} not found in header")
+        column = int(column)
+    col_idx = 0 if column is None else int(column)
     try:
-        values = np.fromiter(map(float, map(itemgetter(col_idx), filter(None, rows))),
-                             dtype=float)
-    except (ValueError, IndexError):
+        return col_idx, not _is_number(names[col_idx])
+    except IndexError:
+        return col_idx, True
+
+
+def _c_column(text: str, col_idx: int, skip: int) -> np.ndarray | None:
+    """Column ``col_idx`` of the lines of ``text`` after the first ``skip``,
+    parsed by numpy's C reader (universal newlines, empty lines skipped,
+    quotes as ``csv`` reads them); None when it raises, a value is not
+    finite or no row is left, for ``_checked_column`` to report or skip
+    row by row."""
+    try:
+        values = np.loadtxt(io.StringIO(text, newline=None), delimiter=",", usecols=col_idx,
+                            skiprows=skip, comments=None, quotechar='"', ndmin=1, dtype=float)
+    except Exception:
+        # any failure, an OverflowError for a huge index among them: the row
+        # loop reports it
         return None
     return values if values.size and np.isfinite(values).all() else None
 

@@ -1,3 +1,7 @@
+import os
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,6 +145,71 @@ class TestWeightedEcdf:
             weighted_ecdf(np.array([1.0, 2.0]), np.array([1.0]))
 
 
+def _outcome(path, column):
+    """Values as float.hex (so -0.0 counts) or the CsvParseError message."""
+    try:
+        return [v.hex() for v in load_sample_csv(path, column=column).values.tolist()]
+    except CsvParseError as exc:
+        return str(exc)
+
+
+# Cells the two readers could read differently: float spellings only
+# Python's float accepts, values that overflow or are not finite, comment
+# and quote characters, padding, and quoted commas and line breaks.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_NUMBERS = st.one_of(
+    _FINITE,
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["-0.0", "+.5", "1e-320", "2E3", "1e500", "-1e500", "inf", "-Infinity",
+                     "nan", "1_000", "\uff11", "0x10"]),
+)
+_CELLS = st.one_of(
+    _FINITE,
+    _FINITE,
+    _FINITE,
+    _FINITE,
+    _NUMBERS,
+    _NUMBERS.map(lambda c: f'"{c}"'),
+    _NUMBERS.map(lambda c: f" {c}\t"),
+    _NUMBERS.map(lambda c: f"\xa0{c}"),
+    _NUMBERS.map(lambda c: f"#{c}"),
+    st.sampled_from(["", " ", "\t", "value", "x", "#", "#1", "# 2", '""', '"1,5"', '" 2.5 "',
+                     ' "1.5"', '"1.5" ', '1.5"', '"a""b"', '"3\n"', '"v\r\nw"', '"\n4"']),
+)
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text, with a column to select: None, an index, a string of digits
+    or a header name."""
+    width = draw(st.integers(1, 3))
+    header = draw(st.booleans())
+    names = draw(st.lists(st.sampled_from(["value", "x", "y z", '"q,r"', "1", "#"]),
+                          min_size=width, max_size=width))
+    rows = [",".join(names)] if header else []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["cells"] * 6 + ["ragged", "empty", "blank"]))
+        if kind == "empty":
+            rows.append("")
+        elif kind == "blank":
+            rows.append(draw(st.sampled_from([" ", "\t", " , ", ","])))
+        else:
+            n = draw(st.integers(1, width)) if kind == "ragged" else width
+            rows.append(",".join(draw(st.lists(_CELLS, min_size=n, max_size=n))))
+    if draw(st.booleans()):
+        rows.insert(0, draw(st.sampled_from(["", " ", ","])))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(rows), max_size=len(rows)))
+    text = "".join(r + e for r, e in zip(rows, ends))
+    if rows and draw(st.booleans()):
+        text = text[: -len(ends[-1])]  # no line break at the end
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    column = draw(st.one_of(st.none(), st.integers(0, width), st.integers(0, width).map(str),
+                            st.sampled_from([n.strip('"') for n in names])))
+    return text, column
+
+
 class TestCsvLoading:
     def test_plain_column(self, tmp_path):
         p = tmp_path / "a.csv"
@@ -209,28 +278,93 @@ class TestCsvLoading:
         with pytest.raises(FileNotFoundError):
             load_sample_csv(tmp_path / "nope.csv")
 
-    @pytest.mark.parametrize("text, column, fast", [
-        pytest.param("1.5\n\n2.5\n\n\n-3\n", None, True, id="blank-lines"),
-        pytest.param("1.5\n  \n2.5\n\t,  \n-3\n", None, False, id="whitespace-only-lines"),
-        pytest.param("value\n3\n\n4\n", None, True, id="header"),
-        pytest.param("y,earnings\n0,100\n\n1,250.5\n", "1", True, id="index-past-header"),
-        pytest.param("9,1.5\n9, 2.5 \n9,-3\n", 1, True, id="index-padded-cells"),
-        pytest.param("1_000\n2e3\n-0.0\n", None, True, id="float-spellings"),
+    @pytest.mark.parametrize("row_loop", [False, True], ids=["c-reader", "row-loop"])
+    @pytest.mark.parametrize("text, column, want", [
+        pytest.param("1.5\n2.5\n3.5\n", None, [1.5, 2.5, 3.5], id="headerless"),
+        pytest.param("value,other\n1.5,9\n2.5,9\n", "value", [1.5, 2.5], id="header-by-name"),
     ])
-    def test_fast_and_checked_paths_agree(self, tmp_path, monkeypatch, text, column, fast):
+    def test_byte_order_mark(self, tmp_path, monkeypatch, row_loop, text, column, want):
+        if row_loop:
+            monkeypatch.setattr(empirical, "_c_column", lambda text, col_idx, skip: None)
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert_array_equal(load_sample_csv(p, column=column).values, want)
+
+    # ``want`` is the loaded column, or the tail of the CsvParseError message
+    @pytest.mark.parametrize("text, column, fast, want", [
+        pytest.param("1.5\n\n2.5\n\n\n-3\n", None, True, [1.5, 2.5, -3.0], id="blank-lines"),
+        pytest.param("1.5\n  \n2.5\n\t,  \n-3\n", None, False, [1.5, 2.5, -3.0],
+                     id="whitespace-only-lines"),
+        pytest.param("value\n3\n\n4\n", None, True, [3.0, 4.0], id="header"),
+        pytest.param("y,earnings\n0,100\n\n1,250.5\n", "1", True, [100.0, 250.5],
+                     id="index-past-header"),
+        pytest.param("9,1.5\n9, 2.5 \n9,-3\n", 1, True, [1.5, 2.5, -3.0], id="index-padded-cells"),
+        pytest.param("1_000\n2e3\n-0.0\n", None, False, [1000.0, 2000.0, -0.0],
+                     id="float-spellings"),
+        pytest.param("2e3\n-0.0\n.5\n", None, True, [2000.0, -0.0, 0.5], id="c-float-spellings"),
+        pytest.param('"1.5"\r\n"2,5",x\r\n', 0, False, ":2: not a number: '2,5'", id="quoted-comma"),
+        pytest.param("1,#\n#2\n3\n", 0, False, ":2: not a number: '#2'", id="comment-cell"),
+        pytest.param("1\n2\n", str(10**20), False, f":2: missing column {10**20}",
+                     id="index-past-any-row"),
+        pytest.param('"a\nb",v\r"1.5",2\r\n3,"4"\n', "v", True, [2.0, 4.0],
+                     id="quoted-cells-and-newlines"),
+    ])
+    def test_fast_and_checked_paths_agree(self, tmp_path, monkeypatch, text, column, fast, want):
         p = tmp_path / "k.csv"
-        p.write_text(text)
+        p.write_text(text, newline="")
         taken = []
 
-        def fast_column(rows, col_idx):
-            values = fast_column_impl(rows, col_idx)
+        def c_column(text, col_idx, skip):
+            values = c_column_impl(text, col_idx, skip)
             taken.append(values is not None)
             return values
 
-        fast_column_impl = empirical._fast_column
-        monkeypatch.setattr(empirical, "_fast_column", fast_column)
-        got = load_sample_csv(p, column=column).values
+        c_column_impl = empirical._c_column
+        monkeypatch.setattr(empirical, "_c_column", c_column)
+        got = _outcome(p, column)
         assert taken == [fast]
-        monkeypatch.setattr(empirical, "_fast_column", lambda rows, col_idx: None)
-        want = load_sample_csv(p, column=column).values
-        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]  # -0.0 too
+        if isinstance(want, list):
+            assert got == [v.hex() for v in want]  # -0.0 too
+        else:
+            assert isinstance(got, str) and got.endswith(want), got
+        monkeypatch.setattr(empirical, "_c_column", lambda text, col_idx, skip: None)
+        assert got == _outcome(p, column)
+
+    def test_header_without_rows(self, tmp_path, monkeypatch, recwarn):
+        p = tmp_path / "l.csv"
+        p.write_text("value\n\n\r\n")
+        monkeypatch.setattr(empirical, "_c_column", mock.Mock(side_effect=empirical._c_column))
+        with pytest.raises(CsvParseError, match=r"l\.csv: no numeric rows"):
+            load_sample_csv(p)
+        empirical._c_column.assert_not_called()  # numpy would warn of no data
+        assert not recwarn.list
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reopens a pipe by /dev/fd")
+    def test_pipe_path(self, tmp_path):
+        # more than one 8 KiB read: a second open of the path would start
+        # mid-stream, after what the first read took
+        values = [i / 8 - 300.0 for i in range(4000)]
+        data = ("value\n" + "".join(f"{v!r}\n" for v in values)).encode()
+        assert 8192 < len(data) < 65536  # fits the pipe's buffer, so no writer thread
+        r, w = os.pipe()
+        try:
+            os.write(w, data)
+            os.close(w)
+            w = None
+            got = load_sample_csv(f"/dev/fd/{r}").values
+        finally:
+            os.close(r)
+            if w is not None:
+                os.close(w)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in values]
+
+    @given(csv_files())
+    @settings(max_examples=400, deadline=None)
+    def test_c_reader_matches_row_loop(self, tmp_path_factory, case):
+        text, column = case
+        p = tmp_path_factory.getbasetemp() / "differential.csv"
+        p.write_bytes(text.encode())
+        got = _outcome(p, column)
+        with mock.patch.object(empirical, "_c_column", return_value=None):
+            assert got == _outcome(p, column)
+
