@@ -32,7 +32,7 @@ class BootstrapConfig:
     scheme: str = "multinomial"
     seed: int = 0
     alpha: float = 0.05
-    threads: int = 1  # for the procedures' row-chunk passes; replicates run serially
+    threads: int = 1  # for the candidate pass of each structure; replicates run serially
 
     def __post_init__(self):
         if self.R < 1:

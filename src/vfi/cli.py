@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -83,6 +84,12 @@ def _float_list(text: str) -> tuple[float, ...]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}") from None
+
+
+_deltas = _checked(_float_list, lambda ds: all(map(math.isfinite, ds)),
+                   "deltas must be finite numbers")
+_sample_size = _checked(int, lambda v: v >= 16, "per-sample n must be at least 16")
+_repetitions = _checked(int, lambda v: v >= 1, "repetition count must be at least 1")
 
 
 def _levels(text: str) -> tuple[float, ...]:
@@ -159,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="plug-in lower/upper bound functions")
     _two_sample_args(p)
-    p.add_argument("--threads", type=_threads)
     _add_common(p, with_bootstrap=False)
 
     p = sub.add_parser("band", help="uniform confidence band for one bound")
@@ -190,9 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo power curves")
     p.add_argument("experiment", choices=("normal", "dominance"))
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--reps", type=int, default=300)
-    p.add_argument("--deltas", type=_float_list, default="-5,-2.5,0,2.5,5")
+    p.add_argument("--n", type=_sample_size, default=100)
+    p.add_argument("--reps", type=_repetitions, default=300)
+    p.add_argument("--deltas", type=_deltas, default="-5,-2.5,0,2.5,5")
     _add_common(p, with_bootstrap=True)
     return ap
 
@@ -244,7 +250,6 @@ def _dump_replicates(run, path):
 
 def _cmd_bounds(args) -> int:
     X1, X0 = _load_pair(args)
-    # one thread: see compute_bounds
     pair = compute_bounds(X1, X0, step=args.grid_step)
     _write(bounds_to_csv(pair), args.output)
     return 0

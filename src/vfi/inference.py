@@ -11,6 +11,7 @@ alone, and only the cumulative weight arrays change.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .bootstrap import (
     rows_per_block,
 )
 from .derivative import (
-    ArgmaxSets,
     Tuning,
     derivative_estimates,
     dominance_derivative_estimates,
@@ -91,41 +91,39 @@ def _cum_from_weights(w: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
     return cum
 
 
-def _directions(structure: MakarovStructure, d1: np.ndarray, d0: np.ndarray,
-                cells, base: np.ndarray, scale: float) -> np.ndarray:
-    """scale * (g - base) on ``cells`` for each row of the cumulative blocks."""
-    h = structure.evaluate(d1, d0, cells)
-    h -= base
-    h *= scale
-    return h
+class _BootstrapProblem:
+    """Bootstrap problem of a statistic whose derivative estimate reads
+    bootstrap directions r_n(G* - G) on the kept cells of bound structures
+    (Fang and Santos 2019).
 
+    Each term (structure, orientation, treated index, control index) reads
+    the kept cells of one orientation of a structure, with the cumulative
+    weight arrays of those two of ``samples``.  Each call builds every
+    sample's array once, evaluates each term, subtracts its base values,
+    scales by r_n ("lower") or -r_n ("upper"), and returns ``estimate``
+    of the directions, one (B, cells) block per term.  ``block_rows`` is
+    the replicates per call."""
 
-class _BandProblem:
-    """Bootstrap problem for one bound function's sup-norm statistic.
-
-    It evaluates one replicate per call, since ``bench/traced.py`` counts
-    one replicate per ``replicate_stat`` call."""
-
-    block_rows = 1
-
-    def __init__(self, X1: Sample, X0: Sample, structure: MakarovStructure,
-                 which: str, sets: ArgmaxSets, r_n: float):
-        self.sample_sizes = [len(X1), len(X0)]
-        self.structure = structure
-        self.sets = sets
-        self.scale = (1.0 if which == "lower" else -1.0) * r_n
-        self.cells = structure.cell_indices(which)
-        self.base = structure.base_values(self.cells)
-        self.starts1 = _block_starts(X1)
-        self.starts0 = _block_starts(X0)
-        self.kind = StatKind(j=1)
+    def __init__(self, samples, terms, estimate, r_n: float, block_rows: int):
+        self.sample_sizes = [len(X) for X in samples]
+        self.block_rows = block_rows
+        self.starts = [_block_starts(X) for X in samples]
+        self.estimate = estimate
+        self.terms = []
+        for structure, orientation, i1, i0 in terms:
+            cells = structure.cell_indices(orientation)
+            scale = (1.0 if orientation == "lower" else -1.0) * r_n
+            self.terms.append((structure, cells, structure.base_values(cells), scale, i1, i0))
 
     def replicate_stat(self, ws) -> np.ndarray:
-        w1, w0 = ws
-        d1 = _cum_from_weights(w1, self.starts1, self.sample_sizes[0])
-        d0 = _cum_from_weights(w0, self.starts0, self.sample_sizes[1])
-        h = _directions(self.structure, d1, d0, self.cells, self.base, self.scale)
-        return derivative_estimates(self.kind, self.sets, h)
+        d = [_cum_from_weights(w, st, n) for w, st, n in zip(ws, self.starts, self.sample_sizes)]
+        hs = []
+        for structure, cells, base, scale, i1, i0 in self.terms:
+            h = structure.evaluate(d[i1], d[i0], cells)
+            h -= base
+            h *= scale
+            hs.append(h)
+        return self.estimate(*hs)
 
 
 def _plugin(X1: Sample, X0: Sample, grid: Grid | None, step: float | None,
@@ -133,8 +131,7 @@ def _plugin(X1: Sample, X0: Sample, grid: Grid | None, step: float | None,
     """Near-argmax candidates of the given orientations, from one pass, and
     the clipped (lower, upper) plug-in bounds, from the scan behind `bounds`
     output so that band centers match it bit for bit.  The candidate pass
-    runs its row chunks on the config's threads, the scan on one thread,
-    as ``bounds`` does (see ``compute_bounds``)."""
+    runs its row chunks on the config's threads; the scan runs on one."""
     threads = config.threads if config else 1
     F1, F0 = ecdf_build(X1), ecdf_build(X0)
     if grid is None:
@@ -178,7 +175,10 @@ def _band(which: str, X1: Sample, X0: Sample, structure: MakarovStructure,
     """Bootstrap band around the plug-in bound ``center`` on ``structure``."""
     config = replace(config or BootstrapConfig(), alpha=alpha)
     sets = eps_argmax(structure.near_argmax(which), tuning)
-    problem = _BandProblem(X1, X0, structure, which, sets, tuning.r_n)
+    # one replicate per call: bench/traced.py counts one per replicate_stat call
+    problem = _BootstrapProblem((X1, X0), [(structure, which, 0, 1)],
+                                partial(derivative_estimates, StatKind(j=1), sets),
+                                tuning.r_n, block_rows=1)
     run = bootstrap_statistic_distribution(problem, config)
     half = run.critical_value / tuning.r_n
     return Band(
@@ -214,42 +214,6 @@ def cdf_band(lower_band: Band, upper_band: Band) -> Band:
     )
 
 
-class _DominanceProblem:
-    """Bootstrap problem for the one-sided L2 dominance statistic; the
-    control sample's weights are shared between both bound structures."""
-
-    def __init__(self, X0, XA, XB, sA: MakarovStructure, sB: MakarovStructure,
-                 orientA, orientB, setsA, setsB, contact, integrand_sign, r_n):
-        self.sample_sizes = [len(X0), len(XA), len(XB)]
-        self.sA, self.sB = sA, sB
-        self.setsA, self.setsB = setsA, setsB
-        self.contact = contact
-        self.scaleA = (1.0 if orientA == "lower" else -1.0) * r_n
-        self.scaleB = (1.0 if orientB == "lower" else -1.0) * r_n
-        self.integrand_sign = integrand_sign
-        self.cellsA = sA.cell_indices(orientA)
-        self.cellsB = sB.cell_indices(orientB)
-        self.baseA = sA.base_values(self.cellsA)
-        self.baseB = sB.base_values(self.cellsB)
-        self.starts0 = _block_starts(X0)
-        self.startsA = _block_starts(XA)
-        self.startsB = _block_starts(XB)
-        self.block_rows = rows_per_block(max(setsA.cells.size, setsB.cells.size),
-                                         self.sample_sizes)
-
-    def replicate_stat(self, ws) -> np.ndarray:
-        w0, wA, wB = ws
-        n0, nA, nB = self.sample_sizes
-        d0 = _cum_from_weights(w0, self.starts0, n0)
-        dA = _cum_from_weights(wA, self.startsA, nA)
-        dB = _cum_from_weights(wB, self.startsB, nB)
-        hA = _directions(self.sA, dA, d0, self.cellsA, self.baseA, self.scaleA)
-        hB = _directions(self.sB, dB, d0, self.cellsB, self.baseB, self.scaleB)
-        return dominance_derivative_estimates(
-            self.setsA, self.setsB, self.contact, hA, hB, sign=self.integrand_sign
-        )
-
-
 def dominance_test(X0: Sample, XA: Sample, XB: Sample, alpha: float = 0.05,
                    config: BootstrapConfig | None = None, grid: Grid | None = None,
                    step: float | None = None, tuning: Tuning | None = None,
@@ -272,8 +236,8 @@ def dominance_test(X0: Sample, XA: Sample, XB: Sample, alpha: float = 0.05,
         orientA, orientB, integrand_sign = "lower", "upper", 1.0
     else:
         orientA, orientB, integrand_sign = "upper", "lower", -1.0
-    sA = MakarovStructure(FA, F0, grid, tuning.a_n, (orientA,))
-    sB = MakarovStructure(FB, F0, grid, tuning.a_n, (orientB,))
+    sA = MakarovStructure(FA, F0, grid, tuning.a_n, (orientA,), config.threads)
+    sB = MakarovStructure(FB, F0, grid, tuning.a_n, (orientB,), config.threads)
     # one pair is read as "lower": its clipped row maxima are its lower
     # bound, bit for bit, so only the other pair needs the bound scan
     if orientation == "necessary":
@@ -289,8 +253,12 @@ def dominance_test(X0: Sample, XA: Sample, XB: Sample, alpha: float = 0.05,
     contact = np.abs(gap) <= tuning.b_n
     setsA = eps_argmax(sA.near_argmax(orientA), tuning)
     setsB = eps_argmax(sB.near_argmax(orientB), tuning)
-    problem = _DominanceProblem(X0, XA, XB, sA, sB, orientA, orientB, setsA, setsB,
-                                contact, integrand_sign, tuning.r_n)
+    samples = (X0, XA, XB)  # the control's weights are shared by both terms
+    problem = _BootstrapProblem(
+        samples, [(sA, orientA, 1, 0), (sB, orientB, 2, 0)],
+        partial(dominance_derivative_estimates, setsA, setsB, contact, sign=integrand_sign),
+        tuning.r_n,
+        block_rows=rows_per_block(max(setsA.cells.size, setsB.cells.size), map(len, samples)))
     run = bootstrap_statistic_distribution(problem, config)
     reps = run.replicates
     return TestResult(

@@ -78,7 +78,7 @@ def _chunks(grid: Grid, width: int):
         yield slice(s, s + rows)
 
 
-def _map_chunks(work, grid: Grid, width: int, threads: int = 1):
+def _map_chunks(work, grid: Grid, width: int, threads: int):
     """``work(s)`` for each slice ``s`` of ``_chunks(grid, width)``, yielded
     in chunk order.  With more than one thread and more than one chunk they
     run on a pool of ``threads`` threads, submitted at most ``threads`` ahead
@@ -120,7 +120,7 @@ def _blocks(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a, np.repeat(a[-1:], nb * _STRIDE - a.size))).reshape(nb, _STRIDE)
 
 
-def _scan(F1: StepCDF, F0: StepCDF, grid: Grid, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def _scan(F1: StepCDF, F0: StepCDF, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Per grid x, the max of F1-part - F0-part and the min of (1 - F0-part)
     + F1-part over the candidates that dominate the rest of the family of
     ``MakarovStructure`` (every event's right value, and (0, 0)), read
@@ -151,8 +151,7 @@ def _scan(F1: StepCDF, F0: StepCDF, grid: Grid, threads: int = 1) -> tuple[np.nd
     fine pass ranks in full only the blocks whose bound beats the coarse
     max or min, and reduces them into it.  Equal parts give +0.0 in both
     forms, never -0.0, so the max and min have the same bits whichever
-    candidates reach them.  Each chunk of grid rows writes only its own
-    rows, so the result does not depend on ``threads``.
+    candidates reach them.
     """
     j1, j0 = F1.jump_points, F0.jump_points
     c1 = np.concatenate(([0.0], F1.cum_probs))
@@ -165,8 +164,7 @@ def _scan(F1: StepCDF, F0: StepCDF, grid: Grid, threads: int = 1) -> tuple[np.nd
     key_before = np.append(before[:, 0], before[-1, -1])
     key_after = np.append(after[:, 0], after[-1, -1])
     lower, upper = np.empty((2, len(grid)))
-
-    def scan(s):
+    for s in _chunks(grid, j0.size):
         xs = grid.points[s]
         lt, ties = _ranks(j1, keys + xs[:, None])
         top = c1.take(lt)
@@ -187,9 +185,6 @@ def _scan(F1: StepCDF, F0: StepCDF, grid: Grid, threads: int = 1) -> tuple[np.nd
         top[row] = np.maximum(top[row], np.maximum.reduceat(hi, first))
         bottom[row] = np.minimum(bottom[row], np.minimum.reduceat(lo, first))
         lower[s], upper[s] = top, bottom
-
-    for _ in _map_chunks(scan, grid, j0.size, threads):
-        pass
     return lower, upper
 
 
@@ -417,23 +412,16 @@ def _sample_grid(X0: Sample, treated, step: float | None) -> Grid:
     return default_grid(SupportInfo((lo, hi), (lo, hi), (lo, hi)), step)
 
 
-def compute_bounds(X1: Sample, X0: Sample, grid: Grid | None = None, step: float | None = None,
-                   threads: int = 1) -> BoundPair:
+def compute_bounds(X1: Sample, X0: Sample, grid: Grid | None = None,
+                   step: float | None = None) -> BoundPair:
     """Plug-in lower and upper bounds on ``grid`` (by default the padded
-    ``default_grid``), with the bound scan's row chunks on ``threads``
-    threads; the result does not depend on the thread count.
-
-    The pruned scan's chunks are small (2 grid rows of 1 key per _STRIDE
-    control jumps at n = 1e5 per arm), so a second thread mostly trades the
-    GIL with the first: on two cores it was no faster on smooth data and
-    its time spread several times wider, doubling when the host took the
-    other core.  It pays only when most blocks are ranked in full (a flat
-    objective).  The CLI and the band centers therefore scan on one
-    thread."""
+    ``default_grid``).  The bound scan runs on one thread: its chunks are
+    small (2 grid rows of 1 key per _STRIDE control jumps at n = 1e5 per
+    arm), and a second thread did not speed it up on two cores."""
     F1, F0 = ecdf_build(X1), ecdf_build(X0)
     if grid is None:
         grid = _sample_grid(X0, (X1,), step)
-    lower, upper = _scan(F1, F0, grid, threads)
+    lower, upper = _scan(F1, F0, grid)
     return BoundPair(lower=_clamped(lower, grid), upper=_clamped(upper, grid), grid=grid)
 
 

@@ -224,7 +224,7 @@ def test_c09_cli_determinism(tmp_path):
         "simulate": ["simulate", "normal", "--n", "40", "--R", "19", "--reps", "2",
                      "--deltas", "0", "--seed", "3"],
     }
-    threaded = {"bounds", "band", "cdf-band", "dominance-test", "simulate"}
+    threaded = {"band", "cdf-band", "dominance-test", "simulate"}
     for name, argv in commands.items():
         outs = set()
         for threads in ("1", "4"):
@@ -234,7 +234,7 @@ def test_c09_cli_determinism(tmp_path):
                 assert r.returncode == 0, (name, r.stderr)
                 outs.add(r.stdout)
         assert len(outs) == 1, f"{name} output not deterministic"
-    report(9, "cli-determinism", "6 commands x 3 runs x threads {1,4}, byte-identical")
+    report(9, "cli-determinism", "6 commands x 3 runs x threads {1,4} where taken, byte-identical")
 
 
 def test_c10_band_duality():

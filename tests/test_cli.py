@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from vfi.simulate import ExperimentConfig
 
 CLI = [sys.executable, "-m", "vfi.cli"]
 GOLDEN = Path(__file__).resolve().parent / "golden"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(*args, env_extra=None, **kw):
@@ -56,25 +59,20 @@ class TestBounds:
             for cell in ln.split(","):
                 assert repr(float(cell)) == cell
 
-    def test_byte_identical_across_runs_and_threads(self, monkeypatch, tmp_path):
+    def test_byte_identical_across_runs_and_chunks(self, monkeypatch, tmp_path):
         args = ["bounds", "--treated", str(GOLDEN / "inputs" / "treated.csv"),
                 "--control", str(GOLDEN / "inputs" / "control.csv")]
         golden = (GOLDEN / "bounds.csv").read_text()
-        outs = set()
-        for threads in ("1", "4"):
-            for _ in range(2):
-                outs.add(run(*args, "--threads", threads).stdout)
-        assert outs == {golden}
-        # these inputs fit one chunk; with one grid row per chunk the scan's
-        # pool runs under compute_bounds' threads (the CLI scans on one)
+        assert {run(*args).stdout for _ in range(4)} == {golden}
+        # these inputs fit one chunk; the scan also gives them with one
+        # grid row per chunk
         monkeypatch.setattr(makarov, "_CHUNK", 1)
         X1, X0 = (load_sample_csv(GOLDEN / "inputs" / f"{arm}.csv", label=arm)
                   for arm in ("treated", "control"))
-        for threads in (1, 4):
-            assert makarov.bounds_to_csv(makarov.compute_bounds(X1, X0, threads=threads)) == golden
-        for threads in ("1", "4"):
-            out = tmp_path / f"bounds_{threads}.csv"
-            assert run_cli(args + ["--threads", threads, "--output", str(out)]) == 0
+        assert makarov.bounds_to_csv(makarov.compute_bounds(X1, X0)) == golden
+        for k in range(2):
+            out = tmp_path / f"bounds_{k}.csv"
+            assert run_cli(args + ["--output", str(out)]) == 0
             assert out.read_text() == golden
 
 
@@ -233,12 +231,16 @@ class TestErrors:
             assert rc == 2 and name in capsys.readouterr().err, name
 
     def test_bounds_bad_threads_exit_2(self, data, capsys, monkeypatch):
+        # bounds scans on one thread and takes no --threads
         args = ["bounds", "--treated", data["treated"], "--control", data["control"]]
-        assert run_cli(args + ["--threads", "0"]) == 2
+        assert run_cli(args + ["--threads", "1"]) == 2
         assert "--threads" in capsys.readouterr().err
+        assert run_cli(args) == 0
+        want = capsys.readouterr().out
         monkeypatch.setenv("VFI_THREADS", "x")
-        assert run_cli(args) == 2
-        assert "VFI_THREADS" in capsys.readouterr().err
+        assert run_cli(args) == 0
+        out, err = capsys.readouterr()
+        assert out == want and err == ""
 
     def test_simulate_threads_0_exit_2(self):
         # it used to run and exit 0
@@ -277,6 +279,23 @@ class TestErrors:
                 "--deltas", "0,,1")
         assert r.returncode == 2
         assert "--deltas" in r.stderr and "0,,1" in r.stderr
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--reps", "0", "repetition count must be at least 1"),
+        ("--reps", "many", "repetition count must be at least 1"),
+        ("--n", "5", "n must be at least 16"),
+        ("--n", "15", "n must be at least 16"),
+        ("--deltas", "nan", "finite"),
+        ("--deltas", "0,inf", "finite"),
+        ("--deltas", "-inf", "finite"),
+    ])
+    def test_bad_simulate_flag_exit_2(self, capsys, flag, value, message):
+        # these used to reach ExperimentConfig or the sampler and exit 1;
+        # only the parser runs, so no Monte Carlo problem is started
+        rc = run_cli(["simulate", "normal", "--R", "19", f"{flag}={value}"])
+        err = capsys.readouterr().err
+        assert rc == 2 and flag in err and message in err and "Traceback" not in err
+        assert repr(value) in err
 
     def test_unknown_flag_exit_2(self, data):
         r = run("bounds", "--treated", data["treated"], "--control", data["control"],
@@ -333,3 +352,24 @@ class TestSimulateCommand:
         lines = r.stdout.strip().splitlines()
         assert lines[0] == "delta,reject_rate,se"
         assert len(lines) == 2
+
+
+def _readme_commands():
+    """Each ``vfi`` command of the README's sh blocks, continuation lines
+    joined, split as a shell would."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+    text = "\n".join(blocks).replace("\\\n", " ")
+    return [shlex.split(line) for line in text.splitlines() if line.startswith("vfi ")]
+
+
+def test_readme_examples_parse():
+    # only the parser runs: no file is read and no pool is started
+    commands = _readme_commands()
+    assert {c[1] for c in commands} >= {"bounds", "band", "cdf-band", "dominance-test",
+                                        "quantile-bounds", "simulate"}
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {shlex.join(argv)}")

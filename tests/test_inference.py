@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ from numpy.testing import assert_array_equal
 
 from vfi import inference, makarov
 from vfi.bootstrap import BootstrapConfig
-from vfi.derivative import Tuning, eps_argmax
+from vfi.derivative import Tuning, derivative_estimates, eps_argmax
 from vfi.empirical import Sample, ecdf_build
 from vfi.inference import (
     Band,
-    _BandProblem,
+    _BootstrapProblem,
     bound_bands,
     cdf_band,
     constant_effect_check,
@@ -18,7 +19,7 @@ from vfi.inference import (
     uniform_band,
 )
 from vfi.makarov import MakarovStructure, default_grid, lower_bound, support_bounds, upper_bound
-from vfi.stats import ks_band_stat
+from vfi.stats import StatKind, ks_band_stat
 from vfi.valuemap import Grid, ValueFunction
 
 
@@ -59,7 +60,9 @@ class TestUniformBand:
         tuning = Tuning(n=60)
         s = MakarovStructure(F1, F0, grid, tuning.a_n, ("lower",))
         sets = eps_argmax(s.near_argmax("lower"), tuning)
-        problem = _BandProblem(X1, X0, s, "lower", sets, tuning.r_n)
+        problem = _BootstrapProblem((X1, X0), [(s, "lower", 0, 1)],
+                                    partial(derivative_estimates, StatKind(j=1), sets),
+                                    tuning.r_n, block_rows=1)
         assert problem.replicate_stat([np.ones((1, 30)), np.ones((1, 30))]) == 0.0
 
     def test_rejects_unknown_target(self):

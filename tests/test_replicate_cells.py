@@ -3,6 +3,7 @@ equal, bit for bit, a dense reference that evaluates the direction on every
 candidate of the Makarov structure and masks the rest away; and the cells
 the streamed pass keeps must be the dense objective's."""
 
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -173,6 +174,25 @@ def _in_blocks(monkeypatch, rows, seen):
     monkeypatch.setattr(inference, "bootstrap_statistic_distribution", run)
 
 
+def _on_pool(monkeypatch, grid, treated, control):
+    """Split the candidate pass of each (treated, control) pair into chunks
+    of at most 3 grid rows, so that a thread count above 1 runs it on a
+    pool, and record the threads that build index pairs in the returned
+    set."""
+    F0 = ecdf_build(control)
+    widths = [ecdf_build(X).jump_points.size + F0.jump_points.size for X in treated]
+    monkeypatch.setattr(makarov, "_CHUNK", 3 * min(widths))
+    assert all(len(list(makarov._chunks(grid, w))) > 3 for w in widths)
+    ran_on, index_pairs = set(), makarov._index_pairs
+
+    def recorded(*args):
+        ran_on.add(threading.get_ident())
+        return index_pairs(*args)
+
+    monkeypatch.setattr(makarov, "_index_pairs", recorded)
+    return ran_on
+
+
 def _block_cases(R):
     for rows in (1, 3, 7, None):
         for threads in (1, 2, 3):
@@ -189,13 +209,16 @@ def test_band_replicates_do_not_depend_on_blocks_or_threads(scheme, monkeypatch)
     cfg = BootstrapConfig(R=29, scheme=scheme, seed=int(rng.integers(1000)))
     dense = [bootstrap_statistic_distribution(_DenseBand(which, X1, X0, grid, tuning), cfg)
              for which in ("lower", "upper")]
+    ran_on = _on_pool(monkeypatch, grid, (X1,), X0)
     for rows, threads, sizes in _block_cases(cfg.R):
         with monkeypatch.context() as m:
             seen = []
             _in_blocks(m, rows, seen)
+            ran_on.clear()
             bands = bound_bands(X1, X0, config=replace(cfg, threads=threads), grid=grid,
                                 tuning=tuning)
             assert sorted(seen) == sorted(sizes * 2), (rows, threads)
+            assert (threading.get_ident() not in ran_on) == (threads > 1), threads
             for band, want in zip(bands, dense):
                 assert_array_equal(band.run.replicates, want.replicates,
                                    err_msg=f"rows={rows} threads={threads}")
@@ -212,13 +235,16 @@ def test_dominance_replicates_do_not_depend_on_blocks_or_threads(orientation, sc
     cfg = BootstrapConfig(R=29, scheme=scheme, seed=int(rng.integers(1000)))
     dense = _DenseDominance(X0, XA, XB, grid, tuning, orientation)
     want = bootstrap_statistic_distribution(dense, cfg).replicates
+    ran_on = _on_pool(monkeypatch, grid, (XA, XB), X0)
     for rows, threads, sizes in _block_cases(cfg.R):
         with monkeypatch.context() as m:
             seen = []
             _in_blocks(m, rows, seen)
+            ran_on.clear()
             res = dominance_test(X0, XA, XB, config=replace(cfg, threads=threads), grid=grid,
                                  tuning=tuning, orientation=orientation)
             assert sorted(seen) == sorted(sizes), (rows, threads)
+            assert (threading.get_ident() not in ran_on) == (threads > 1), threads
             assert_array_equal(res.run.replicates, want,
                                err_msg=f"rows={rows} threads={threads}")
 
