@@ -137,15 +137,19 @@ def _apply_env(args):
             setattr(args, dest, _env(name, cast, fallback))
 
 
-def _add_common(p, with_bootstrap: bool):
-    p.add_argument("--grid-step", type=_grid_step)
+def _add_common(p, grid: bool = True, bootstrap: bool = False, tuning: bool = False):
+    """The options shared by subcommands; each takes only those it reads, so
+    a flag it would ignore is a usage error."""
+    if grid:
+        p.add_argument("--grid-step", type=_grid_step)
     p.add_argument("--output", default=None, help="output path (default: stdout)")
-    if with_bootstrap:
+    if bootstrap:
         p.add_argument("--alpha", type=_alpha)
         p.add_argument("--R", type=_replicates)
         p.add_argument("--seed", type=int)
         p.add_argument("--scheme", choices=("multinomial", "bayesian"))
         p.add_argument("--threads", type=_threads)
+    if tuning:
         p.add_argument("--an-const", type=_tuning_const)
         p.add_argument("--bn-const", type=_tuning_const)
         p.add_argument("--dump-replicates", default=None, metavar="PATH")
@@ -166,18 +170,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="plug-in lower/upper bound functions")
     _two_sample_args(p)
-    _add_common(p, with_bootstrap=False)
+    _add_common(p)
 
     p = sub.add_parser("band", help="uniform confidence band for one bound")
     _two_sample_args(p)
     p.add_argument("--which", choices=("lower", "upper"), default="lower")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(p, with_bootstrap=True)
+    _add_common(p, bootstrap=True, tuning=True)
 
     p = sub.add_parser("cdf-band", help="combined conservative band for the effect CDF")
     _two_sample_args(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(p, with_bootstrap=True)
+    _add_common(p, bootstrap=True, tuning=True)
 
     p = sub.add_parser("dominance-test", help="bootstrap dominance test, A vs B")
     p.add_argument("--control", required=True)
@@ -186,20 +190,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--column", default=None)
     p.add_argument("--orientation", choices=("necessary", "sufficient"),
                    default="necessary")
-    _add_common(p, with_bootstrap=True)
+    _add_common(p, bootstrap=True, tuning=True)
 
     p = sub.add_parser("quantile-bounds", help="bounds on effect quantiles")
     _two_sample_args(p)
     p.add_argument("--taus", type=_levels, default="0.1,0.25,0.5,0.75,0.9",
                    help="comma-separated levels in (0,1)")
-    _add_common(p, with_bootstrap=False)
+    _add_common(p, grid=False)
 
     p = sub.add_parser("simulate", help="Monte Carlo power curves")
     p.add_argument("experiment", choices=("normal", "dominance"))
     p.add_argument("--n", type=_sample_size, default=100)
     p.add_argument("--reps", type=_repetitions, default=300)
     p.add_argument("--deltas", type=_deltas, default="-5,-2.5,0,2.5,5")
-    _add_common(p, with_bootstrap=True)
+    _add_common(p, bootstrap=True)
     return ap
 
 

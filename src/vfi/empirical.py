@@ -176,9 +176,12 @@ def load_sample_csv(path, column=None, label: str | None = None) -> Sample:
     path loads as a regular file does.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        text = fh.read()
-    reader = csv.reader(io.StringIO(text, newline=""))
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # a bad byte raises here, its position counted from the start of the file;
+    # the streams below decode chunk by chunk
+    raw.decode("utf-8-sig")
+    reader = csv.reader(_text(raw, newline=""))
     skip = 0  # lines before the first data row
     # the first row with a non-blank cell: a header or the first data row
     for start, first in enumerate(reader):
@@ -193,11 +196,18 @@ def load_sample_csv(path, column=None, label: str | None = None) -> Sample:
 
     # a header with no non-empty row after it goes straight to the row loop
     # (numpy would warn of no data)
-    values = _c_column(text, col_idx, skip) if not header or any(reader) else None
+    values = _c_column(raw, col_idx, skip) if not header or any(reader) else None
     if values is None:
-        rows = list(csv.reader(io.StringIO(text, newline="")))
+        rows = list(csv.reader(_text(raw, newline="")))
         values = _checked_column(path, rows, start, col_idx)
     return Sample(values, label=label or path.stem)
+
+
+def _text(raw: bytes, newline: str | None) -> io.TextIOWrapper:
+    """A text stream over the bytes of a file, decoded as it is read, so no
+    decoded copy of the whole file is held (``io.StringIO`` holds four bytes
+    a character)."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=newline)
 
 
 def _column_index(path: Path, first: list[str], column) -> tuple[int, bool]:
@@ -217,14 +227,14 @@ def _column_index(path: Path, first: list[str], column) -> tuple[int, bool]:
         return col_idx, True
 
 
-def _c_column(text: str, col_idx: int, skip: int) -> np.ndarray | None:
-    """Column ``col_idx`` of the lines of ``text`` after the first ``skip``,
+def _c_column(raw: bytes, col_idx: int, skip: int) -> np.ndarray | None:
+    """Column ``col_idx`` of the lines of ``raw`` after the first ``skip``,
     parsed by numpy's C reader (universal newlines, empty lines skipped,
     quotes as ``csv`` reads them); None when it raises, a value is not
     finite or no row is left, for ``_checked_column`` to report or skip
     row by row."""
     try:
-        values = np.loadtxt(io.StringIO(text, newline=None), delimiter=",", usecols=col_idx,
+        values = np.loadtxt(_text(raw, newline=None), delimiter=",", usecols=col_idx,
                             skiprows=skip, comments=None, quotechar='"', ndmin=1, dtype=float)
     except Exception:
         # any failure, an OverflowError for a huge index among them: the row

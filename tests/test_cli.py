@@ -143,6 +143,17 @@ class TestQuantileBounds:
         for row in rows:
             assert float(row[1]) <= float(row[2])
 
+    def test_grid_step_refused_and_its_variable_not_read(self, data):
+        # quantile bounds are read off the ECDFs: no grid is built
+        args = ("quantile-bounds", "--treated", data["treated"], "--control",
+                data["control"], "--taus", "0.25,0.5,0.75")
+        r = run(*args, "--grid-step", "0.001")
+        assert r.returncode == 2 and "unrecognized arguments: --grid-step" in r.stderr
+        plain = run(*args)
+        r = run(*args, env_extra={"VFI_GRID_STEP": "0"})
+        assert r.returncode == 0 and r.stderr == ""
+        assert r.stdout == plain.stdout
+
 
 class TestErrors:
     def test_missing_file_exit_1(self, data):
@@ -288,14 +299,19 @@ class TestErrors:
         ("--deltas", "nan", "finite"),
         ("--deltas", "0,inf", "finite"),
         ("--deltas", "-inf", "finite"),
+        # flags of band and dominance-test that simulate would ignore
+        ("--an-const", "50", "unrecognized arguments"),
+        ("--bn-const", "1e-9", "unrecognized arguments"),
+        ("--dump-replicates", "reps.csv", "unrecognized arguments"),
     ])
     def test_bad_simulate_flag_exit_2(self, capsys, flag, value, message):
-        # these used to reach ExperimentConfig or the sampler and exit 1;
-        # only the parser runs, so no Monte Carlo problem is started
+        # these used to reach ExperimentConfig or the sampler and exit 1, or
+        # were accepted and dropped; only the parser runs, so no Monte Carlo
+        # problem is started and no file is written
         rc = run_cli(["simulate", "normal", "--R", "19", f"{flag}={value}"])
         err = capsys.readouterr().err
         assert rc == 2 and flag in err and message in err and "Traceback" not in err
-        assert repr(value) in err
+        assert repr(value) in err or f"{flag}={value}" in err
 
     def test_unknown_flag_exit_2(self, data):
         r = run("bounds", "--treated", data["treated"], "--control", data["control"],

@@ -1,5 +1,6 @@
 import os
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -357,6 +358,21 @@ class TestCsvLoading:
             if w is not None:
                 os.close(w)
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in values]
+
+    def test_no_decoded_copy_of_the_file(self, tmp_path):
+        # two io.StringIO copies of the text (four bytes a character) would
+        # peak at about 9.5 times a 1e5-row file's size
+        values = np.random.default_rng(0).normal(size=100_000)
+        p = tmp_path / "big.csv"
+        p.write_text("value\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+        tracemalloc.start()
+        try:
+            got = load_sample_csv(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.values.tobytes() == values.tobytes()
+        assert peak < 3 * p.stat().st_size, (peak, p.stat().st_size)
 
     @given(csv_files())
     @settings(max_examples=400, deadline=None)

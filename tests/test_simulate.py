@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -23,6 +25,12 @@ class TestConfig:
             small("normal_location", reps=0)
         with pytest.raises(ValueError):
             small("normal_location", deltas=())
+
+    @pytest.mark.parametrize("deltas", [(float("nan"),), (0.0, float("inf")), (-np.inf,)])
+    def test_non_finite_deltas(self, deltas):
+        # a library caller used to get "sample 'treated' contains non-finite values"
+        with pytest.raises(ValueError, match="deltas"):
+            small("normal_location", deltas=deltas)
 
     def test_default_steps(self):
         assert small("normal_location").step() == 0.05
@@ -72,6 +80,15 @@ class TestNormalLocation:
                            run_normal_location(cfg4).reject_rate)
 
 
+class TestNormalLowerBound:
+    def test_bit_equal_to_scipy_stats_form(self):
+        from scipy.stats import norm
+
+        x = np.linspace(-10.0, 10.0, 100_001)
+        want = np.maximum(2.0 * norm.cdf(x / 2.0) - 1.0, 0.0)
+        assert simulate._normal_lower_bound(x).tobytes() == want.tobytes()
+
+
 class TestUniformDominance:
     def test_power_direction(self):
         # delta < 0 puts A's distribution below the breakdown point: power;
@@ -84,3 +101,18 @@ class TestUniformDominance:
     def test_kind_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             run_uniform_dominance(small("normal_location"))
+
+    def test_runs_on_the_calling_thread(self, monkeypatch):
+        # at n = 100 problems run in order and each candidate pass fits one
+        # chunk, so threads > 1 starts no pool and gives the same bytes
+        cfg = dict(n=100, R=19, reps=2, deltas=(-2.5, 2.5), seed=3)
+        want = run_uniform_dominance(small("uniform_dominance", threads=1, **cfg))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        # on the class, so every name bound to it raises
+        monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "__init__", no_pool)
+        got = run_uniform_dominance(small("uniform_dominance", threads=4, **cfg))
+        assert got.reject_rate.tobytes() == want.reject_rate.tobytes()
+        assert got.se.tobytes() == want.se.tobytes()

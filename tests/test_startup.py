@@ -1,5 +1,6 @@
 """What importing vfi does to the process: one OpenBLAS thread and no
-variable left behind, and no BLAS call in the package that would want more."""
+variable left behind, no BLAS call in the package that would want more, and
+no scipy until a command needs it."""
 
 import ast
 import json
@@ -16,20 +17,33 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "vfi"
 BLAS_NAMES = {"dot", "matmul", "linalg", "einsum", "inner", "tensordot"}
 
 
-def _after_import(code, **env):
-    """The OpenBLAS variable and thread count after ``code`` runs in a fresh
-    interpreter whose environment lacks OPENBLAS_NUM_THREADS unless given."""
+def _fresh(code, **env):
+    """What the last line ``code`` prints holds, as JSON, after it runs in a
+    fresh interpreter whose environment lacks OPENBLAS_NUM_THREADS unless
+    given."""
     full = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     full["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC.parent), full.get("PYTHONPATH"))))
     full.update(env)
+    r = subprocess.run([sys.executable, "-c", code], env=full,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout.splitlines()[-1])
+
+
+def _after_import(code, **env):
+    """The OpenBLAS variable and thread count after ``code`` runs."""
     report = ("import json, os\n"
               "task = '/proc/self/task'\n"
               "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'),\n"
               "                  len(os.listdir(task)) if os.path.isdir(task) else None]))\n")
-    r = subprocess.run([sys.executable, "-c", code + "\n" + report], env=full,
-                       capture_output=True, text=True, timeout=120)
-    assert r.returncode == 0, r.stderr
-    return json.loads(r.stdout.splitlines()[-1])
+    return _fresh(code + "\n" + report, **env)
+
+
+def _scipy_modules(code):
+    """The scipy modules loaded after ``code`` runs."""
+    report = ("import json, sys\n"
+              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+    return _fresh(code + "\n" + report)
 
 
 def test_import_pins_openblas_to_one_thread():
@@ -48,6 +62,28 @@ def test_numpy_imported_first_is_left_alone():
     value, threads = _after_import("import numpy, vfi")
     assert value is None
     assert threads == _after_import("import numpy")[1]
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_modules("import vfi.cli") == []
+
+
+def _after_simulate(experiment):
+    return _scipy_modules(
+        "import vfi.cli\n"
+        f"argv = ['simulate', '{experiment}', '--n', '20', '--R', '9', '--reps', '1',\n"
+        "        '--deltas', '0', '--threads', '1']\n"
+        "assert vfi.cli.run_cli(argv) == 0")
+
+
+def test_simulate_dominance_loads_no_scipy():
+    assert _after_simulate("dominance") == []
+
+
+def test_simulate_normal_loads_scipy_special_only():
+    # its closed form takes ndtr, not scipy.stats' norm.cdf
+    loaded = _after_simulate("normal")
+    assert "scipy.special" in loaded and "scipy.stats" not in loaded
 
 
 def _blas_uses(tree):
