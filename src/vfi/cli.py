@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig
+from .bootstrap import SCHEMES, BootstrapConfig
 from .derivative import Tuning
 from .empirical import CsvParseError, ecdf_build, load_sample_csv
 from .inference import Band, bound_bands, cdf_band, dominance_test, uniform_band
@@ -119,15 +119,16 @@ def _json_dumps(obj) -> str:
 # Options that a VFI_* variable can set, by argparse dest: (variable name
 # after VFI_, type, built-in default).  Their flags default to None, and
 # ``_apply_env`` fills those the chosen subcommand has and no flag set.
+# The defaults are the library's, apart from threads.
 _ENV_OPTIONS = {
     "grid_step": ("GRID_STEP", _grid_step, None),
-    "alpha": ("ALPHA", _alpha, 0.05),
-    "R": ("R", _replicates, 199),
-    "seed": ("SEED", int, 0),
-    "scheme": ("SCHEME", str, "multinomial"),
+    "alpha": ("ALPHA", _alpha, BootstrapConfig.alpha),
+    "R": ("R", _replicates, BootstrapConfig.R),
+    "seed": ("SEED", int, BootstrapConfig.seed),
+    "scheme": ("SCHEME", str, BootstrapConfig.scheme),
     "threads": ("THREADS", _threads, os.cpu_count() or 1),
-    "an_const": ("AN_CONST", _tuning_const, 0.2),
-    "bn_const": ("BN_CONST", _tuning_const, 3.0),
+    "an_const": ("AN_CONST", _tuning_const, Tuning.a_const),
+    "bn_const": ("BN_CONST", _tuning_const, Tuning.b_const),
 }
 
 
@@ -147,12 +148,11 @@ def _add_common(p, grid: bool = True, bootstrap: bool = False, tuning: bool = Fa
         p.add_argument("--alpha", type=_alpha)
         p.add_argument("--R", type=_replicates)
         p.add_argument("--seed", type=int)
-        p.add_argument("--scheme", choices=("multinomial", "bayesian"))
+        p.add_argument("--scheme", choices=SCHEMES)
         p.add_argument("--threads", type=_threads)
     if tuning:
         p.add_argument("--an-const", type=_tuning_const)
         p.add_argument("--bn-const", type=_tuning_const)
-        p.add_argument("--dump-replicates", default=None, metavar="PATH")
 
 
 def _two_sample_args(p):
@@ -176,6 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     _two_sample_args(p)
     p.add_argument("--which", choices=("lower", "upper"), default="lower")
     p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--dump-replicates", default=None, metavar="PATH")
     _add_common(p, bootstrap=True, tuning=True)
 
     p = sub.add_parser("cdf-band", help="combined conservative band for the effect CDF")
@@ -190,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--column", default=None)
     p.add_argument("--orientation", choices=("necessary", "sufficient"),
                    default="necessary")
+    p.add_argument("--dump-replicates", default=None, metavar="PATH")
     _add_common(p, bootstrap=True, tuning=True)
 
     p = sub.add_parser("quantile-bounds", help="bounds on effect quantiles")
@@ -265,8 +267,7 @@ def _tuning(args, n: int) -> Tuning:
 
 def _cmd_band(args) -> int:
     X1, X0 = _load_pair(args)
-    band = uniform_band(args.which, X1, X0, alpha=args.alpha,
-                        config=_bconfig(args), step=args.grid_step,
+    band = uniform_band(args.which, X1, X0, config=_bconfig(args), step=args.grid_step,
                         tuning=_tuning(args, len(X1) + len(X0)))
     _dump_replicates(band.run, args.dump_replicates)
     if args.format == "csv":
@@ -280,7 +281,7 @@ def _cmd_cdf_band(args) -> int:
     X1, X0 = _load_pair(args)
     half = args.alpha / 2.0
     tuning = _tuning(args, len(X1) + len(X0))
-    combined = cdf_band(*bound_bands(X1, X0, alpha=half, config=_bconfig(args, half),
+    combined = cdf_band(*bound_bands(X1, X0, config=_bconfig(args, half),
                                      step=args.grid_step, tuning=tuning))
     if args.format == "csv":
         _write(_band_rows(combined), args.output)
@@ -293,7 +294,7 @@ def _cmd_dominance(args) -> int:
     X0 = load_sample_csv(args.control, column=args.column, label="control")
     XA = load_sample_csv(args.treatment_a, column=args.column, label="A")
     XB = load_sample_csv(args.treatment_b, column=args.column, label="B")
-    res = dominance_test(X0, XA, XB, alpha=args.alpha, config=_bconfig(args),
+    res = dominance_test(X0, XA, XB, config=_bconfig(args),
                          step=args.grid_step, orientation=args.orientation,
                          tuning=_tuning(args, len(X0) + len(XA) + len(XB)))
     _dump_replicates(res.run, args.dump_replicates)
@@ -322,14 +323,14 @@ def _cmd_quantile_bounds(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    kind = "normal_location" if args.experiment == "normal" else "uniform_dominance"
     config = ExperimentConfig(
-        kind=kind, n=args.n, R=args.R, reps=args.reps,
+        n=args.n, R=args.R, reps=args.reps,
         deltas=args.deltas,
         alpha=args.alpha, seed=args.seed, grid_step=args.grid_step,
         scheme=args.scheme, threads=args.threads,
     )
-    curve = (run_normal_location if kind == "normal_location" else run_uniform_dominance)(config)
+    run = run_normal_location if args.experiment == "normal" else run_uniform_dominance
+    curve = run(config)
     lines = ["delta,reject_rate,se"]
     lines += [
         f"{_fmt(d)},{_fmt(p)},{_fmt(s)}"

@@ -20,9 +20,7 @@ __all__ = [
     "Tuning",
     "ArgmaxSets",
     "eps_argmax",
-    "derivative_estimate",
     "derivative_estimates",
-    "dominance_derivative_estimate",
     "dominance_derivative_estimates",
 ]
 
@@ -116,17 +114,6 @@ def eps_argmax(f, tuning: Tuning) -> ArgmaxSets:
     )
 
 
-def _cell_values(h, sets: ArgmaxSets) -> np.ndarray:
-    """h on the per-x cells, from h on every candidate (the objective's
-    shape) or from h already restricted to ``sets.cells``."""
-    hv = h.values if isinstance(h, GriddedObjective) else np.asarray(h, dtype=float)
-    if hv.shape == (len(sets.grid), sets.width):
-        return hv.ravel()[sets.cells]
-    if hv.shape == sets.cells.shape:
-        return hv
-    raise ValueError("direction does not share the objective's candidate structure")
-
-
 def _direction_block(H, sets: ArgmaxSets) -> np.ndarray:
     """H as a (B, cells) block of B directions on ``sets.cells``."""
     hv = np.asarray(H, dtype=float)
@@ -147,9 +134,10 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
 
 
 def derivative_estimates(kind: StatKind, sets: ArgmaxSets, H) -> np.ndarray:
-    """``derivative_estimate`` for each row of H, a (B, cells) block of B
-    directions on ``sets.cells``: B values, each the same bits as its
-    direction alone gives."""
+    """Directional-derivative values of lambda_j at the objective, using
+    the estimated argmax sets, for each row of H, a (B, cells) block of B
+    directions on ``sets.cells``: B values, each the same bits as a
+    one-row block of its direction alone gives."""
     hv = _direction_block(H, sets)
     row = _row_sup(hv, sets)
     if kind.j == 1:
@@ -165,13 +153,6 @@ def derivative_estimates(kind: StatKind, sets: ArgmaxSets, H) -> np.ndarray:
     return np.array([total ** (1.0 / kind.p) for total in _row_sums(terms)])
 
 
-def derivative_estimate(kind: StatKind, sets: ArgmaxSets, h) -> float:
-    """Directional-derivative value of lambda_j at the objective, in
-    direction h, using the estimated argmax sets.  h is given on every
-    candidate or only on ``sets.cells``."""
-    return float(derivative_estimates(kind, sets, _cell_values(h, sets)[None])[0])
-
-
 def dominance_derivative_estimates(
     setsA: ArgmaxSets,
     setsB: ArgmaxSets,
@@ -180,9 +161,16 @@ def dominance_derivative_estimates(
     HB,
     sign: float = 1.0,
 ) -> np.ndarray:
-    """``dominance_derivative_estimate`` for each row of HA and HB, (B,
-    cells) blocks of B directions on their sets' ``cells``: B values, each
-    the same bits as its pair of directions alone gives."""
+    """Derivative of the one-sided L2 dominance statistic for each row of
+    HA and HB, (B, cells) blocks of B directions on their sets' ``cells``:
+    B values, each the same bits as a one-row block of its pair alone gives.
+
+    HA holds directions on the lower-bound objective of the A-vs-control
+    pair, HB on the (negated) upper-bound objective of the B-vs-control
+    pair.  ``contact`` restricts integration to the estimated region where
+    the population gap is zero.  ``sign`` flips the integrand for the
+    reversed orientation of the test.
+    """
     if not setsA.grid.same_as(setsB.grid):
         raise ValueError("argmax sets live on different grids")
     contact = np.asarray(contact, dtype=bool)
@@ -193,25 +181,3 @@ def dominance_derivative_estimates(
     integrand = np.maximum(sign * (rowA + rowB)[:, contact], 0.0)
     w = setsA.grid.rect_weights()[contact]
     return np.sqrt(_row_sums(integrand ** 2 * w))
-
-
-def dominance_derivative_estimate(
-    setsA: ArgmaxSets,
-    setsB: ArgmaxSets,
-    contact: np.ndarray,
-    hA,
-    hB,
-    sign: float = 1.0,
-) -> float:
-    """Derivative of the one-sided L2 dominance statistic.
-
-    hA is the direction on the lower-bound objective of the A-vs-control
-    pair; hB the direction on the (negated) upper-bound objective of the
-    B-vs-control pair; each is given on every candidate or only on its
-    sets' ``cells``.  ``contact`` restricts integration to the estimated
-    region where the population gap is zero.  ``sign`` flips the integrand
-    for the reversed orientation of the test.
-    """
-    HA = _cell_values(hA, setsA)[None]
-    HB = _cell_values(hB, setsB)[None]
-    return float(dominance_derivative_estimates(setsA, setsB, contact, HA, HB, sign)[0])

@@ -63,13 +63,11 @@ class StepCDF:
     """Right-continuous step distribution function.
 
     ``jump_points`` are strictly increasing, ``cum_probs`` increasing with
-    final element exactly 1.  ``n`` is the sample size (or total weight)
-    behind the function; it is carried along for rate calculations.
+    final element exactly 1.
     """
 
     jump_points: np.ndarray
     cum_probs: np.ndarray
-    n: float
 
     def __post_init__(self):
         jp = np.asarray(self.jump_points, dtype=float)
@@ -119,7 +117,7 @@ def ecdf_build(sample: Sample) -> StepCDF:
     n = sample.values.size
     cum = np.cumsum(counts) / n
     cum[-1] = 1.0
-    return StepCDF(jump_points=uniq, cum_probs=cum, n=float(n))
+    return StepCDF(jump_points=uniq, cum_probs=cum)
 
 
 def weighted_ecdf(values: np.ndarray, weights: np.ndarray) -> StepCDF:
@@ -141,7 +139,7 @@ def weighted_ecdf(values: np.ndarray, weights: np.ndarray) -> StepCDF:
     keep = mass > 0
     cum = np.cumsum(mass[keep])
     cum[-1] = 1.0
-    return StepCDF(jump_points=uniq[keep], cum_probs=cum, n=float(total))
+    return StepCDF(jump_points=uniq[keep], cum_probs=cum)
 
 
 def _is_number(cell: str) -> bool:

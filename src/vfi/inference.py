@@ -10,7 +10,7 @@ alone, and only the cumulative weight arrays change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -30,7 +30,7 @@ from .derivative import (
 from .empirical import Sample, ecdf_build
 from .makarov import (
     MakarovStructure,
-    _sample_grid,
+    _resolve_grid,
     _scan,
     upper_bound,
 )
@@ -127,53 +127,51 @@ class _BootstrapProblem:
 
 
 def _plugin(X1: Sample, X0: Sample, grid: Grid | None, step: float | None,
-            a_n: float, orientations: tuple[str, ...], config: BootstrapConfig | None):
+            a_n: float, orientations: tuple[str, ...], config: BootstrapConfig):
     """Near-argmax candidates of the given orientations, from one pass, and
     the clipped (lower, upper) plug-in bounds, from the scan behind `bounds`
     output so that band centers match it bit for bit.  The candidate pass
     runs its row chunks on the config's threads; the scan runs on one."""
-    threads = config.threads if config else 1
     F1, F0 = ecdf_build(X1), ecdf_build(X0)
-    if grid is None:
-        grid = _sample_grid(X0, (X1,), step)
-    structure = MakarovStructure(F1, F0, grid, a_n, orientations, threads)
+    grid = _resolve_grid(grid, step, X0, (X1,))
+    structure = MakarovStructure(F1, F0, grid, a_n, orientations, config.threads)
     return structure, np.clip(_scan(F1, F0, grid), 0.0, 1.0)
 
 
-def uniform_band(which: str, X1: Sample, X0: Sample, alpha: float = 0.05,
-                 config: BootstrapConfig | None = None, grid: Grid | None = None,
+def uniform_band(which: str, X1: Sample, X0: Sample,
+                 config: BootstrapConfig = BootstrapConfig(), grid: Grid | None = None,
                  step: float | None = None, tuning: Tuning | None = None) -> Band:
     """Uniform confidence band for the lower or upper bound function.
 
     The band is the plug-in bound plus/minus c*/r_n, where c* estimates the
     (1 - alpha) quantile of the sup-norm limit via the bootstrap with the
-    derivative estimator for the two-sided sup statistic.
+    derivative estimator for the two-sided sup statistic; alpha is
+    ``config.alpha``.  The grid is ``grid``, or else the default grid over
+    the samples' range with spacing ``step``; giving both is an error.
     """
     if which not in ("lower", "upper"):
         raise ValueError(f"band target must be 'lower' or 'upper', got {which!r}")
     tuning = tuning or Tuning(n=len(X1) + len(X0))
     structure, (lower, upper) = _plugin(X1, X0, grid, step, tuning.a_n, (which,), config)
     center = lower if which == "lower" else upper
-    return _band(which, X1, X0, structure, center, alpha, config, tuning)
+    return _band(which, X1, X0, structure, center, config, tuning)
 
 
-def bound_bands(X1: Sample, X0: Sample, alpha: float = 0.05,
-                config: BootstrapConfig | None = None, grid: Grid | None = None,
+def bound_bands(X1: Sample, X0: Sample,
+                config: BootstrapConfig = BootstrapConfig(), grid: Grid | None = None,
                 step: float | None = None, tuning: Tuning | None = None) -> tuple[Band, Band]:
     """The lower and upper ``uniform_band`` at the same level, sharing one
     candidate pass and one bound scan."""
     tuning = tuning or Tuning(n=len(X1) + len(X0))
     structure, (lower, upper) = _plugin(X1, X0, grid, step, tuning.a_n, ("lower", "upper"),
                                         config)
-    return (_band("lower", X1, X0, structure, lower, alpha, config, tuning),
-            _band("upper", X1, X0, structure, upper, alpha, config, tuning))
+    return (_band("lower", X1, X0, structure, lower, config, tuning),
+            _band("upper", X1, X0, structure, upper, config, tuning))
 
 
 def _band(which: str, X1: Sample, X0: Sample, structure: MakarovStructure,
-          center: np.ndarray, alpha: float, config: BootstrapConfig | None,
-          tuning: Tuning) -> Band:
+          center: np.ndarray, config: BootstrapConfig, tuning: Tuning) -> Band:
     """Bootstrap band around the plug-in bound ``center`` on ``structure``."""
-    config = replace(config or BootstrapConfig(), alpha=alpha)
     sets = eps_argmax(structure.near_argmax(which), tuning)
     # one replicate per call: bench/traced.py counts one per replicate_stat call
     problem = _BootstrapProblem((X1, X0), [(structure, which, 0, 1)],
@@ -186,7 +184,7 @@ def _band(which: str, X1: Sample, X0: Sample, structure: MakarovStructure,
         lo=np.maximum(center - half, 0.0),
         hi=np.minimum(center + half, 1.0),
         center=center,
-        alpha=alpha,
+        alpha=config.alpha,
         c_star=run.critical_value,
         r_n=tuning.r_n,
         run=run,
@@ -214,8 +212,8 @@ def cdf_band(lower_band: Band, upper_band: Band) -> Band:
     )
 
 
-def dominance_test(X0: Sample, XA: Sample, XB: Sample, alpha: float = 0.05,
-                   config: BootstrapConfig | None = None, grid: Grid | None = None,
+def dominance_test(X0: Sample, XA: Sample, XB: Sample,
+                   config: BootstrapConfig = BootstrapConfig(), grid: Grid | None = None,
                    step: float | None = None, tuning: Tuning | None = None,
                    orientation: str = "necessary") -> TestResult:
     """Bootstrap test of distributional dominance of treatment A over B
@@ -223,15 +221,14 @@ def dominance_test(X0: Sample, XA: Sample, XB: Sample, alpha: float = 0.05,
 
     orientation 'necessary' tests the refutable implication L_A <= U_B;
     'sufficient' tests U_A <= L_B, whose failure leaves dominance
-    undetermined but which is the breakdown-frontier quantity.
+    undetermined but which is the breakdown-frontier quantity.  The level
+    is ``config.alpha``; ``grid`` and ``step`` are as for ``uniform_band``.
     """
     if orientation not in ("necessary", "sufficient"):
         raise ValueError(f"unknown orientation {orientation!r}")
-    config = replace(config or BootstrapConfig(), alpha=alpha)
     tuning = tuning or Tuning(n=len(X0) + len(XA) + len(XB))
     F0, FA, FB = ecdf_build(X0), ecdf_build(XA), ecdf_build(XB)
-    if grid is None:
-        grid = _sample_grid(X0, (XA, XB), step)  # the union of both pairs' ranges
+    grid = _resolve_grid(grid, step, X0, (XA, XB))  # the union of both pairs' ranges
     if orientation == "necessary":
         orientA, orientB, integrand_sign = "lower", "upper", 1.0
     else:
@@ -265,7 +262,7 @@ def dominance_test(X0: Sample, XA: Sample, XB: Sample, alpha: float = 0.05,
         statistic=stat.value,
         critical_value=run.critical_value,
         reject=stat.value > run.critical_value,
-        alpha=alpha,
+        alpha=config.alpha,
         rep_count=reps.size,
         rep_mean=float(reps.mean()),
         rep_max=float(reps.max()),

@@ -412,15 +412,25 @@ def _sample_grid(X0: Sample, treated, step: float | None) -> Grid:
     return default_grid(SupportInfo((lo, hi), (lo, hi), (lo, hi)), step)
 
 
+def _resolve_grid(grid: Grid | None, step: float | None, X0: Sample, treated) -> Grid:
+    """``grid``, or else ``_sample_grid`` with spacing ``step``; a step
+    given with a grid would be dropped, so giving both is an error."""
+    if grid is None:
+        return _sample_grid(X0, treated, step)
+    if step is not None:
+        raise ValueError("give grid or step, not both")
+    return grid
+
+
 def compute_bounds(X1: Sample, X0: Sample, grid: Grid | None = None,
                    step: float | None = None) -> BoundPair:
     """Plug-in lower and upper bounds on ``grid`` (by default the padded
-    ``default_grid``).  The bound scan runs on one thread: its chunks are
-    small (2 grid rows of 1 key per _STRIDE control jumps at n = 1e5 per
-    arm), and a second thread did not speed it up on two cores."""
+    ``default_grid`` with spacing ``step``; not both).  The bound scan runs
+    on one thread: its chunks are small (2 grid rows of 1 key per _STRIDE
+    control jumps at n = 1e5 per arm), and a second thread did not speed it
+    up on two cores."""
     F1, F0 = ecdf_build(X1), ecdf_build(X0)
-    if grid is None:
-        grid = _sample_grid(X0, (X1,), step)
+    grid = _resolve_grid(grid, step, X0, (X1,))
     lower, upper = _scan(F1, F0, grid)
     return BoundPair(lower=_clamped(lower, grid), upper=_clamped(upper, grid), grid=grid)
 

@@ -19,12 +19,12 @@ from .valuemap import ValueFunction
 
 __all__ = ["ExperimentConfig", "PowerCurve", "run_normal_location", "run_uniform_dominance"]
 
-KINDS = ("normal_location", "uniform_dominance")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    kind: str
+    """Settings of a Monte Carlo experiment; the runner it is passed to is
+    the design.  ``grid_step`` None takes that runner's default step."""
+
     n: int = 100
     R: int = 199
     reps: int = 300
@@ -36,8 +36,6 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.n < 16:
             raise ValueError("per-sample n must be at least 16")
         if self.reps < 1:
@@ -48,11 +46,6 @@ class ExperimentConfig:
             raise ValueError("deltas must be finite numbers")
         if self.threads < 1:
             raise ValueError("thread count must be at least 1")
-
-    def step(self) -> float:
-        if self.grid_step is not None:
-            return self.grid_step
-        return 0.02 if self.kind == "uniform_dominance" else 0.05
 
 
 @dataclass(frozen=True)
@@ -87,18 +80,17 @@ def _collect(config: ExperimentConfig, one_rep) -> PowerCurve:
 def run_normal_location(config: ExperimentConfig) -> PowerCurve:
     """Size and power of the band-based test of the lower bound against
     the two-standard-normal closed form, under mean shifts delta/sqrt(n)."""
-    if config.kind != "normal_location":
-        raise ValueError("config kind mismatch")
-    n, alpha = config.n, config.alpha
+    n = config.n
+    step = 0.05 if config.grid_step is None else config.grid_step
 
     def one_rep(delta: float, i: int, m: int) -> bool:
         rng = stream(config.seed, 7001, i, m)
         X0 = Sample(rng.normal(0.0, 1.0, n), label="control")
         X1 = Sample(rng.normal(delta / np.sqrt(n), 1.0, n), label="treated")
-        bconf = BootstrapConfig(R=config.R, scheme=config.scheme, alpha=alpha,
+        bconf = BootstrapConfig(R=config.R, scheme=config.scheme, alpha=config.alpha,
                                 threads=config.threads,
                                 seed=derive_seed(config.seed, 7001, i, m))
-        band = uniform_band("lower", X1, X0, alpha=alpha, config=bconf, step=config.step())
+        band = uniform_band("lower", X1, X0, config=bconf, step=step)
         L0 = ValueFunction(grid=band.grid, values=_normal_lower_bound(band.grid.points))
         stat = ks_band_stat(ValueFunction(grid=band.grid, values=band.center), L0, band.r_n)
         return stat.value > band.c_star
@@ -109,9 +101,8 @@ def run_normal_location(config: ExperimentConfig) -> PowerCurve:
 def run_uniform_dominance(config: ExperimentConfig) -> PowerCurve:
     """Rejection rates of the dominance test in the uniform design where
     treatment A sits at mu = 1 + delta/sqrt(n); delta = 0 is the boundary."""
-    if config.kind != "uniform_dominance":
-        raise ValueError("config kind mismatch")
-    n, alpha = config.n, config.alpha
+    n = config.n
+    step = 0.02 if config.grid_step is None else config.grid_step
 
     def one_rep(delta: float, i: int, m: int) -> bool:
         mu = 1.0 + delta / np.sqrt(n)
@@ -119,11 +110,10 @@ def run_uniform_dominance(config: ExperimentConfig) -> PowerCurve:
         X0 = Sample(rng.uniform(0.0, 1.0, n), label="control")
         XB = Sample(rng.uniform(0.0, 1.0, n), label="B")
         XA = Sample(rng.uniform(mu, mu + 1.0, n), label="A")
-        bconf = BootstrapConfig(R=config.R, scheme=config.scheme, alpha=alpha,
+        bconf = BootstrapConfig(R=config.R, scheme=config.scheme, alpha=config.alpha,
                                 threads=config.threads,
                                 seed=derive_seed(config.seed, 7002, i, m))
-        res = dominance_test(X0, XA, XB, alpha=alpha, config=bconf,
-                             step=config.step(), orientation="sufficient")
+        res = dominance_test(X0, XA, XB, config=bconf, step=step, orientation="sufficient")
         return res.reject
 
     return _collect(config, one_rep)

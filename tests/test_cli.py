@@ -259,7 +259,7 @@ class TestErrors:
                 "--threads", "0")
         assert r.returncode == 2 and "--threads" in r.stderr
         with pytest.raises(ValueError, match="thread count"):
-            ExperimentConfig(kind="normal_location", threads=0)
+            ExperimentConfig(threads=0)
 
     def test_threads_above_the_cap_exit_2(self, data, capsys):
         # only the parser is run: no pool is started at either value
@@ -312,6 +312,16 @@ class TestErrors:
         err = capsys.readouterr().err
         assert rc == 2 and flag in err and message in err and "Traceback" not in err
         assert repr(value) in err or f"{flag}={value}" in err
+
+    def test_cdf_band_dump_replicates_exit_2(self, data, capsys, tmp_path):
+        # only band and dominance-test keep replicates; cdf-band used to
+        # accept the flag and write nothing
+        dump = tmp_path / "reps.csv"
+        rc = run_cli(["cdf-band", "--treated", data["treated"], "--control", data["control"],
+                      "--dump-replicates", str(dump)])
+        err = capsys.readouterr().err
+        assert rc == 2 and "--dump-replicates" in err and "unrecognized arguments" in err
+        assert not dump.exists()
 
     def test_unknown_flag_exit_2(self, data):
         r = run("bounds", "--treated", data["treated"], "--control", data["control"],
@@ -376,6 +386,16 @@ def _readme_commands():
     blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
     text = "\n".join(blocks).replace("\\\n", " ")
     return [shlex.split(line) for line in text.splitlines() if line.startswith("vfi ")]
+
+
+def test_readme_python_runs():
+    # the library sketch, in a fresh interpreter, against the signatures it shows
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert blocks
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    for code in blocks:
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
 
 
 def test_readme_examples_parse():

@@ -7,9 +7,8 @@ from numpy.testing import assert_array_equal
 from vfi.derivative import (
     ArgmaxSets,
     Tuning,
-    derivative_estimate,
     derivative_estimates,
-    dominance_derivative_estimate,
+    dominance_derivative_estimates,
     eps_argmax,
 )
 from vfi.empirical import Sample, ecdf_build
@@ -27,6 +26,18 @@ def make_obj(values):
     values = np.asarray(values, dtype=float)
     k = values.shape[0]
     return GriddedObjective(grid=unit_grid(k), values=values)
+
+
+def estimate(kind, sets, h):
+    """derivative_estimates of h, given on every candidate, as a one-row block."""
+    return float(derivative_estimates(kind, sets, h.ravel()[sets.cells][None])[0])
+
+
+def dominance_estimate(setsA, setsB, contact, hA, hB, sign=1.0):
+    """dominance_derivative_estimates of one pair of directions, each given
+    on every candidate, as one-row blocks."""
+    HA, HB = hA.ravel()[setsA.cells][None], hB.ravel()[setsB.cells][None]
+    return float(dominance_derivative_estimates(setsA, setsB, contact, HA, HB, sign)[0])
 
 
 class TestTuning:
@@ -130,33 +141,35 @@ class TestDerivativeEstimate:
     def test_zero_direction(self):
         h = np.zeros_like(self.f.values)
         for j in (1, 2, 3, 4):
-            assert derivative_estimate(StatKind(j), self.sets, h) == 0.0
+            assert estimate(StatKind(j), self.sets, h) == 0.0
 
     def test_negative_constant_direction(self):
         h = np.full_like(self.f.values, -0.3)
-        assert derivative_estimate(StatKind(2), self.sets, h) == 0.0
-        assert derivative_estimate(StatKind(4), self.sets, h) == 0.0
+        assert estimate(StatKind(2), self.sets, h) == 0.0
+        assert estimate(StatKind(4), self.sets, h) == 0.0
         # two-sided sup: the maximin branch attains +0.3
-        assert derivative_estimate(StatKind(1), self.sets, h) == pytest.approx(0.3)
+        assert estimate(StatKind(1), self.sets, h) == pytest.approx(0.3)
 
     def test_contact_measure_example(self):
         f = make_obj(np.concatenate([np.zeros((5, 2)), np.ones((5, 2))]))
         sets = eps_argmax(f, FixedTuning(a_n=0.01, b_n=0.01))
         assert_array_equal(sets.contact, [True] * 5 + [False] * 5)
         h = np.full((10, 2), 0.4)
-        got = derivative_estimate(StatKind(4, p=2.0), sets, h)
+        got = estimate(StatKind(4, p=2.0), sets, h)
         assert got == pytest.approx(0.4 * np.sqrt(0.5), abs=1e-12)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="candidate structure"):
-            derivative_estimate(StatKind(1), self.sets, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="block"):
+            derivative_estimates(StatKind(1), self.sets,
+                                 np.zeros((1, self.sets.cells.size + 1)))
 
     def test_block_rows_equal_single_directions(self):
         rng = np.random.default_rng(34)
         H = rng.normal(size=(5, self.sets.cells.size))
         for j in (1, 2, 3, 4):
             got = derivative_estimates(StatKind(j), self.sets, H)
-            assert got.tolist() == [derivative_estimate(StatKind(j), self.sets, h) for h in H]
+            assert got.tolist() == [derivative_estimates(StatKind(j), self.sets, h[None])[0]
+                                    for h in H]
         with pytest.raises(ValueError, match="block"):
             derivative_estimates(StatKind(1), self.sets, H[0])
 
@@ -168,15 +181,12 @@ class TestDerivativeEstimate:
             k = h + rng.normal(0, 0.3, h.shape)
             gap = np.max(np.abs(h - k))
             for j, C in ((1, 1.0), (2, 1.0), (3, np.sqrt(mX)), (4, np.sqrt(mX))):
-                d = abs(
-                    derivative_estimate(StatKind(j), self.sets, h)
-                    - derivative_estimate(StatKind(j), self.sets, k)
-                )
+                d = abs(estimate(StatKind(j), self.sets, h) - estimate(StatKind(j), self.sets, k))
                 assert d <= C * gap + 1e-12
 
     def test_cells_match_dense_masks(self):
-        # h on every candidate, h on sets.cells only, and the masked dense
-        # reductions all give the same bits, ragged objectives included
+        # h on sets.cells and the masked dense reductions give the same
+        # bits, ragged objectives included
         rng = np.random.default_rng(36)
         for _ in range(50):
             k, c = rng.integers(2, 8), rng.integers(2, 6)
@@ -197,8 +207,7 @@ class TestDerivativeEstimate:
             }
             for j, want in dense.items():
                 kind = StatKind(j, p=2.0)
-                assert derivative_estimate(kind, sets, h) == float(want)
-                assert derivative_estimate(kind, sets, h.ravel()[sets.cells]) == float(want)
+                assert estimate(kind, sets, h) == float(want)
 
     def test_joint_mask_must_cover_the_cells(self):
         # the joint set is a mask over the per-x cells, so it cannot leave them
@@ -219,9 +228,7 @@ class TestDerivativeEstimate:
             small = eps_argmax(f, FixedTuning(a_n=0.1, b_n=10.0))
             big = eps_argmax(f, FixedTuning(a_n=1.0, b_n=10.0))
             for j in (2, 3, 4):
-                assert derivative_estimate(StatKind(j), big, h) >= derivative_estimate(
-                    StatKind(j), small, h
-                ) - 1e-12
+                assert estimate(StatKind(j), big, h) >= estimate(StatKind(j), small, h) - 1e-12
 
 
 class TestDominanceDerivative:
@@ -234,27 +241,21 @@ class TestDominanceDerivative:
 
     def test_zero_directions(self):
         z = np.zeros((6, 4)), np.zeros((6, 3))
-        got = dominance_derivative_estimate(
-            self.setsA, self.setsB, np.ones(6, dtype=bool), z[0], z[1]
-        )
+        got = dominance_estimate(self.setsA, self.setsB, np.ones(6, dtype=bool), z[0], z[1])
         assert got == 0.0
 
     def test_empty_contact_falls_back_to_full_grid(self):
         hA = np.full((6, 4), 0.2)
         hB = np.full((6, 3), 0.3)
-        full = dominance_derivative_estimate(
-            self.setsA, self.setsB, np.ones(6, dtype=bool), hA, hB
-        )
-        empty = dominance_derivative_estimate(
-            self.setsA, self.setsB, np.zeros(6, dtype=bool), hA, hB
-        )
+        full = dominance_estimate(self.setsA, self.setsB, np.ones(6, dtype=bool), hA, hB)
+        empty = dominance_estimate(self.setsA, self.setsB, np.zeros(6, dtype=bool), hA, hB)
         assert empty == full
 
     def test_constant_directions_closed_form(self):
         hA = np.full((6, 4), 0.2)
         hB = np.full((6, 3), 0.3)
         contact = np.array([True, True, False, False, True, False])
-        got = dominance_derivative_estimate(self.setsA, self.setsB, contact, hA, hB)
+        got = dominance_estimate(self.setsA, self.setsB, contact, hA, hB)
         w = self.fA.grid.rect_weights()
         expect = np.sqrt(np.sum(0.5**2 * w[contact]))
         assert got == pytest.approx(expect, abs=1e-12)
@@ -263,8 +264,8 @@ class TestDominanceDerivative:
         hA = np.full((6, 4), 0.2)
         hB = np.full((6, 3), 0.3)
         contact = np.ones(6, dtype=bool)
-        pos = dominance_derivative_estimate(self.setsA, self.setsB, contact, hA, hB, sign=1.0)
-        neg = dominance_derivative_estimate(self.setsA, self.setsB, contact, hA, hB, sign=-1.0)
+        pos = dominance_estimate(self.setsA, self.setsB, contact, hA, hB, sign=1.0)
+        neg = dominance_estimate(self.setsA, self.setsB, contact, hA, hB, sign=-1.0)
         assert pos > 0 and neg == 0.0
 
 
@@ -329,7 +330,7 @@ class TestNumericalDelta:
                 moved = lambda_stat(GriddedObjective(grid=ORACLE_GRID, values=values + s * h), kind)
                 assert base.value == 0.0
                 numerical = (moved.value - base.value) / s
-                assert derivative_estimate(kind, sets, h) == pytest.approx(
+                assert estimate(kind, sets, h) == pytest.approx(
                     numerical, rel=1e-9, abs=1e-9), j
 
     @settings(max_examples=80, deadline=None)
@@ -358,5 +359,5 @@ class TestNumericalDelta:
         contact = np.abs(level) <= slack
         assert stat(fA, fB) == 0.0 and contact.any()
         numerical = (stat(fA + s * hA, fB + s * hB) - stat(fA, fB)) / s
-        got = dominance_derivative_estimate(setsA, setsB, contact, hA, hB, sign=sign)
+        got = dominance_estimate(setsA, setsB, contact, hA, hB, sign=sign)
         assert got == pytest.approx(numerical, rel=1e-9, abs=1e-9)

@@ -98,14 +98,14 @@ class TestEcdf:
 class TestStepCDFValidation:
     def test_requires_increasing_jumps(self):
         with pytest.raises(ValueError):
-            StepCDF(np.array([1.0, 1.0]), np.array([0.5, 1.0]), 2.0)
+            StepCDF(np.array([1.0, 1.0]), np.array([0.5, 1.0]))
 
     def test_requires_terminal_one(self):
         with pytest.raises(ValueError):
-            StepCDF(np.array([1.0, 2.0]), np.array([0.3, 0.9]), 2.0)
+            StepCDF(np.array([1.0, 2.0]), np.array([0.3, 0.9]))
 
     def test_snaps_terminal_within_tolerance(self):
-        F = StepCDF(np.array([0.0]), np.array([1.0 - 1e-13]), 1.0)
+        F = StepCDF(np.array([0.0]), np.array([1.0 - 1e-13]))
         assert F.cum_probs[-1] == 1.0
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -18,7 +19,14 @@ from vfi.inference import (
     dominance_test,
     uniform_band,
 )
-from vfi.makarov import MakarovStructure, default_grid, lower_bound, support_bounds, upper_bound
+from vfi.makarov import (
+    MakarovStructure,
+    compute_bounds,
+    default_grid,
+    lower_bound,
+    support_bounds,
+    upper_bound,
+)
 from vfi.stats import StatKind, ks_band_stat
 from vfi.valuemap import Grid, ValueFunction
 
@@ -47,11 +55,29 @@ class TestUniformBand:
         assert np.all(band.lo <= band.center) and np.all(band.center <= band.hi)
 
     def test_band_narrows_as_alpha_grows(self):
+        # the level is the config's: the procedures used to take an alpha of
+        # their own, 0.05 by default, and overwrite the config's with it
         X1, X0 = normal_samples(3)
         cfg = BootstrapConfig(R=99, seed=3)
-        tight = uniform_band("lower", X1, X0, alpha=0.5, config=cfg, step=0.1)
-        wide = uniform_band("lower", X1, X0, alpha=0.05, config=cfg, step=0.1)
-        assert tight.c_star <= wide.c_star
+        tight = uniform_band("lower", X1, X0, config=replace(cfg, alpha=0.5), step=0.1)
+        wide = uniform_band("lower", X1, X0, config=cfg, step=0.1)
+        assert tight.c_star < wide.c_star
+        for band in (tight, *bound_bands(X1, X0, config=replace(cfg, alpha=0.5), step=0.1)):
+            assert band.alpha == 0.5 and band.run.config.alpha == 0.5
+
+    def test_grid_and_step_are_not_both_taken(self):
+        # the step was dropped in silence when a grid was given
+        X1, X0 = normal_samples(14, n=30)
+        grid = default_grid(support_bounds(X1, X0), 0.2)
+        cfg = BootstrapConfig(R=9)
+        calls = [lambda **kw: uniform_band("lower", X1, X0, config=cfg, **kw),
+                 lambda **kw: bound_bands(X1, X0, config=cfg, **kw),
+                 lambda **kw: dominance_test(X0, X1, X1, config=cfg, **kw),
+                 lambda **kw: compute_bounds(X1, X0, **kw)]
+        for call in calls:
+            with pytest.raises(ValueError, match="grid or step"):
+                call(grid=grid, step=0.01)
+            call(grid=grid)
 
     def test_all_one_weights_give_zero_replicate(self):
         X1, X0 = normal_samples(4, n=30)
@@ -79,7 +105,7 @@ class TestMemory:
         X1, X0 = normal_samples(12, n=1000, shift=0.5)
         tracemalloc.start()
         try:
-            bound_bands(X1, X0, alpha=0.025, config=BootstrapConfig(R=9, seed=1, alpha=0.025))
+            bound_bands(X1, X0, config=BootstrapConfig(R=9, seed=1, alpha=0.025))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -124,8 +150,8 @@ class TestCdfBand:
     def make(self, seed):
         X1, X0 = normal_samples(seed)
         cfg = BootstrapConfig(R=49, seed=seed, alpha=0.025)
-        lo = uniform_band("lower", X1, X0, alpha=0.025, config=cfg, step=0.1)
-        hi = uniform_band("upper", X1, X0, alpha=0.025, config=cfg, grid=lo.grid)
+        lo = uniform_band("lower", X1, X0, config=cfg, step=0.1)
+        hi = uniform_band("upper", X1, X0, config=cfg, grid=lo.grid)
         return X1, X0, lo, hi
 
     def test_contains_plugin_bounds_and_monotone(self):
@@ -157,7 +183,7 @@ class TestCdfBand:
         monkeypatch.setattr(inference, "MakarovStructure",
                             counted(MakarovStructure, "structure"))
         cfg = BootstrapConfig(R=49, seed=10, alpha=0.025)
-        pair = bound_bands(X1, X0, alpha=0.025, config=cfg, step=0.1)
+        pair = bound_bands(X1, X0, config=cfg, step=0.1)
         assert sorted(calls) == ["scan", "structure"]
         for got, want in zip(pair, (lo_band, hi_band)):
             assert got.grid.same_as(want.grid)
@@ -168,9 +194,9 @@ class TestCdfBand:
 
     def test_alpha_mismatch_rejected(self):
         X1, X0 = normal_samples(9)
-        a = uniform_band("lower", X1, X0, alpha=0.05, config=BootstrapConfig(R=19, seed=9), step=0.2)
-        b = uniform_band("upper", X1, X0, alpha=0.1,
-                         config=BootstrapConfig(R=19, seed=9, alpha=0.1), grid=a.grid)
+        a = uniform_band("lower", X1, X0, config=BootstrapConfig(R=19, seed=9), step=0.2)
+        b = uniform_band("upper", X1, X0, config=BootstrapConfig(R=19, seed=9, alpha=0.1),
+                         grid=a.grid)
         with pytest.raises(ValueError, match="level"):
             cdf_band(a, b)
 
@@ -190,11 +216,17 @@ class TestDominanceTest:
         X0 = Sample(rng.uniform(0, 1, 40))
         XB = Sample(rng.uniform(0.8, 1.8, 40))
         XA = Sample(rng.uniform(0, 1, 40))  # A far below B: should reject
-        res = dominance_test(X0, XA, XB, config=BootstrapConfig(R=99, seed=11), step=0.05)
+        cfg = BootstrapConfig(R=99, seed=11)
+        res = dominance_test(X0, XA, XB, config=cfg, step=0.05)
         assert res.reject == (res.statistic > res.critical_value)
         assert res.statistic > 0
         assert res.rep_count == 99
         assert res.rep_max >= res.rep_mean >= 0
+        # the level is the config's alpha, which an alpha of the test's own
+        # used to overwrite
+        half = dominance_test(X0, XA, XB, config=replace(cfg, alpha=0.5), step=0.05)
+        assert half.alpha == 0.5 and half.run.config.alpha == 0.5
+        assert half.critical_value < res.critical_value
 
     def test_orientations_differ(self):
         rng = np.random.default_rng(12)

@@ -254,10 +254,11 @@ def test_bound_bands_equal_two_uniform_bands(scheme):
     # both bands share one candidate pass and bound scan; each equals its band alone
     rng = np.random.default_rng([47, scheme == "bayesian"])
     X1, X0 = _sample(rng, 0.4, 41, 1), _sample(rng, 0.0, 33)
-    cfg = BootstrapConfig(R=39, scheme=scheme, seed=int(rng.integers(1000)), threads=2)
-    both = bound_bands(X1, X0, alpha=0.1, config=cfg, step=0.05)
+    cfg = BootstrapConfig(R=39, scheme=scheme, seed=int(rng.integers(1000)), alpha=0.1,
+                          threads=2)
+    both = bound_bands(X1, X0, config=cfg, step=0.05)
     for band, which in zip(both, ("lower", "upper")):
-        alone = uniform_band(which, X1, X0, alpha=0.1, config=cfg, grid=band.grid)
+        alone = uniform_band(which, X1, X0, config=cfg, grid=band.grid)
         assert_array_equal(band.run.replicates, alone.run.replicates)
         assert band.run.critical_value == alone.run.critical_value
         assert band.run.config == alone.run.config

@@ -9,8 +9,8 @@ from vfi.bootstrap import derive_seed
 from vfi.simulate import ExperimentConfig, run_normal_location, run_uniform_dominance
 
 
-def small(kind, **kw):
-    base = dict(kind=kind, n=40, R=49, reps=10, deltas=(0.0,), seed=5)
+def small(**kw):
+    base = dict(n=40, R=49, reps=10, deltas=(0.0,), seed=5)
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -18,24 +18,35 @@ def small(kind, **kw):
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(kind="weibull")
+            small(n=10)
         with pytest.raises(ValueError):
-            small("normal_location", n=10)
+            small(reps=0)
         with pytest.raises(ValueError):
-            small("normal_location", reps=0)
-        with pytest.raises(ValueError):
-            small("normal_location", deltas=())
+            small(deltas=())
 
     @pytest.mark.parametrize("deltas", [(float("nan"),), (0.0, float("inf")), (-np.inf,)])
     def test_non_finite_deltas(self, deltas):
         # a library caller used to get "sample 'treated' contains non-finite values"
         with pytest.raises(ValueError, match="deltas"):
-            small("normal_location", deltas=deltas)
+            small(deltas=deltas)
 
-    def test_default_steps(self):
-        assert small("normal_location").step() == 0.05
-        assert small("uniform_dominance").step() == 0.02
-        assert small("normal_location", grid_step=0.5).step() == 0.5
+    def test_default_steps(self, monkeypatch):
+        # each runner passes its own default step; grid_step overrides both
+        steps = []
+
+        def recording(real):
+            def wrapper(*args, **kwargs):
+                steps.append(kwargs["step"])
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(simulate, "uniform_band", recording(simulate.uniform_band))
+        monkeypatch.setattr(simulate, "dominance_test", recording(simulate.dominance_test))
+        for grid_step in (None, 0.5):
+            cfg = small(n=16, R=3, reps=1, grid_step=grid_step)
+            run_normal_location(cfg)
+            run_uniform_dominance(cfg)
+        assert steps == [0.05, 0.02, 0.5, 0.5]
 
 
 class TestSeeds:
@@ -50,15 +61,15 @@ class TestSeeds:
 
         monkeypatch.setattr(simulate, "uniform_band", recording(simulate.uniform_band))
         monkeypatch.setattr(simulate, "dominance_test", recording(simulate.dominance_test))
-        run_normal_location(small("normal_location", n=16, R=3, reps=2, deltas=(0.0, 1.0)))
-        run_uniform_dominance(small("uniform_dominance", n=16, R=3, reps=2, deltas=(0.0, 1.0)))
+        run_normal_location(small(n=16, R=3, reps=2, deltas=(0.0, 1.0)))
+        run_uniform_dominance(small(n=16, R=3, reps=2, deltas=(0.0, 1.0)))
         assert seeds == [derive_seed(5, e, i, m) for e in (7001, 7002)
                          for i in range(2) for m in range(2)]
 
 
 class TestNormalLocation:
     def test_reproducible_and_well_formed(self):
-        cfg = small("normal_location", deltas=(0.0, 4.0))
+        cfg = small(deltas=(0.0, 4.0))
         a = run_normal_location(cfg)
         b = run_normal_location(cfg)
         assert_array_equal(a.reject_rate, b.reject_rate)
@@ -66,16 +77,12 @@ class TestNormalLocation:
         assert_array_equal(a.se, np.sqrt(a.reject_rate * (1 - a.reject_rate) / cfg.reps))
 
     def test_single_rep_is_binary(self):
-        curve = run_normal_location(small("normal_location", reps=1))
+        curve = run_normal_location(small(reps=1))
         assert curve.reject_rate[0] in (0.0, 1.0)
 
-    def test_kind_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            run_normal_location(small("uniform_dominance"))
-
     def test_threads_do_not_change_results(self):
-        cfg1 = small("normal_location", deltas=(0.0, 4.0), threads=1)
-        cfg4 = small("normal_location", deltas=(0.0, 4.0), threads=4)
+        cfg1 = small(deltas=(0.0, 4.0), threads=1)
+        cfg4 = small(deltas=(0.0, 4.0), threads=4)
         assert_array_equal(run_normal_location(cfg1).reject_rate,
                            run_normal_location(cfg4).reject_rate)
 
@@ -93,26 +100,22 @@ class TestUniformDominance:
     def test_power_direction(self):
         # delta < 0 puts A's distribution below the breakdown point: power;
         # delta > 0 is an interior null: conservative
-        cfg = small("uniform_dominance", n=100, reps=15, deltas=(-5.0, 5.0), seed=9)
+        cfg = small(n=100, reps=15, deltas=(-5.0, 5.0), seed=9)
         curve = run_uniform_dominance(cfg)
         assert curve.reject_rate[0] > curve.reject_rate[1]
         assert curve.reject_rate[1] <= 0.2
-
-    def test_kind_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            run_uniform_dominance(small("normal_location"))
 
     def test_runs_on_the_calling_thread(self, monkeypatch):
         # at n = 100 problems run in order and each candidate pass fits one
         # chunk, so threads > 1 starts no pool and gives the same bytes
         cfg = dict(n=100, R=19, reps=2, deltas=(-2.5, 2.5), seed=3)
-        want = run_uniform_dominance(small("uniform_dominance", threads=1, **cfg))
+        want = run_uniform_dominance(small(threads=1, **cfg))
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was started")
 
         # on the class, so every name bound to it raises
         monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "__init__", no_pool)
-        got = run_uniform_dominance(small("uniform_dominance", threads=4, **cfg))
+        got = run_uniform_dominance(small(threads=4, **cfg))
         assert got.reject_rate.tobytes() == want.reject_rate.tobytes()
         assert got.se.tobytes() == want.se.tobytes()
