@@ -8,6 +8,7 @@ one Philox generator and resets it to the start of every stream it draws.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,16 +57,10 @@ class BootstrapRun:
         return self.replicates.size
 
 
-def _mix(z: int) -> int:
-    """splitmix64 finalizer; spreads structured ids over 64 bits."""
-    z = (z + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return z ^ (z >> 31)
-
-
-def _mix_array(z: np.ndarray) -> np.ndarray:
-    """``_mix`` of every word of a uint64 array, in wrapping uint64 arithmetic."""
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer of every word of a 1-D uint64 array, in wrapping
+    uint64 arithmetic; spreads structured ids over 64 bits.  Arrays only: on
+    a numpy scalar the wrap raises an overflow warning."""
     z = z + np.uint64(0x9E3779B97F4A7C15)
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
@@ -75,38 +70,32 @@ def _mix_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def derive_seed(seed: int, *ids: int) -> int:
+def _as_uint64(i) -> np.ndarray:
+    """An id as a 1-D uint64 array: an int mod 2**64, or an array's entries."""
+    if np.ndim(i):
+        return np.asarray(i).astype(np.uint64)
+    return np.array([operator.index(i) % 2**64], dtype=np.uint64)
+
+
+def derive_seed(seed: int, *ids):
     """64-bit seed keyed by (seed, *ids) through a splitmix64 chain, so that,
-    unlike an arithmetic key, structured id tuples do not collide."""
-    k = _mix(seed & 0xFFFFFFFFFFFFFFFF)
+    unlike an arithmetic key, structured id tuples do not collide.  Int ids
+    give an int; an array of ids (replicate indices r) as the last id gives
+    the uint64 array of the seeds (seed, *ids[:-1], r)."""
+    k = _mix(_as_uint64(seed))
     for i in ids:
-        k = _mix(k ^ _mix(i & 0xFFFFFFFFFFFFFFFF))
-    return k
-
-
-def _key(k: int) -> np.ndarray:
-    """The two Philox key words of the stream with 64-bit seed k: (k, _mix(k)),
-    except that when exactly one word is at least 2**63 both are rounded to
-    float64 first (53 significant bits; a word rounding to 2**64 wraps to 0).
-    That is what numpy's type inference made of the tuple of Python ints
-    the streams were keyed with, and every recorded replicate depends on it."""
-    words = (k, _mix(k))
-    if (words[0] >> 63) + (words[1] >> 63) == 1:
-        words = tuple(int(float(w)) % 2**64 for w in words)
-    return np.array(words, dtype=np.uint64)
-
-
-def _replicate_seeds(seed: int, s: int, R: int) -> np.ndarray:
-    """``derive_seed(seed, s, r)`` for r = 0 .. R - 1, in one pass of
-    uint64 array arithmetic: the chain's last link, mixed over every r."""
-    k = _mix_array(np.arange(R, dtype=np.uint64))
-    k ^= np.uint64(derive_seed(seed, s))
-    return _mix_array(k)
+        k = _mix(k ^ _mix(_as_uint64(i)))
+    return k if ids and np.ndim(ids[-1]) else int(k[0])
 
 
 def _keys(k: np.ndarray) -> np.ndarray:
-    """``_key`` of every seed in the uint64 array k, as a (k.size, 2) array."""
-    words = np.stack((k, _mix_array(k)), axis=1)
+    """The two Philox key words (k, _mix(k)) of the stream with 64-bit seed
+    k, for every seed of the uint64 array k, as a (k.size, 2) array; except
+    that when exactly one word is at least 2**63 both are rounded to float64
+    first (53 significant bits; a word rounding to 2**64 wraps to 0).  That
+    is what numpy's type inference made of the tuple of Python ints the
+    streams were keyed with, and every recorded replicate depends on it."""
+    words = np.stack((k, _mix(k)), axis=1)
     mixed = (words >> np.uint64(63)).sum(axis=1) == 1
     if mixed.any():
         rounded = words[mixed].astype(np.float64)
@@ -117,7 +106,8 @@ def _keys(k: np.ndarray) -> np.ndarray:
 
 def stream(seed: int, *ids: int) -> np.random.Generator:
     """Independent counter-based stream keyed by (seed, *ids)."""
-    return np.random.Generator(np.random.Philox(key=_key(derive_seed(seed, *ids))))
+    k = np.array([derive_seed(seed, *ids)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=_keys(k)[0]))
 
 
 _ZEROS = np.zeros(4, dtype=np.uint64)
@@ -185,7 +175,8 @@ def bootstrap_statistic_distribution(problem, config: BootstrapConfig) -> Bootst
     """
     sizes = list(problem.sample_sizes)
     R, rows = config.R, problem.block_rows
-    keys = [_keys(_replicate_seeds(config.seed, s, R)) for s in range(len(sizes))]
+    r = np.arange(R, dtype=np.uint64)
+    keys = [_keys(derive_seed(config.seed, s, r)) for s in range(len(sizes))]
     gen = np.random.Generator(np.random.Philox(key=keys[0][0]))
 
     def block(start: int) -> np.ndarray:

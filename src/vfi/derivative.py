@@ -39,8 +39,8 @@ class Tuning:
         # log(log(n)) must be safely positive
         if self.n < MIN_COMBINED_N:
             raise ValueError(f"combined sample size {self.n} below minimum {MIN_COMBINED_N}")
-        if not (self.a_const > 0 and self.b_const > 0):
-            raise ValueError("tuning constants must be positive")
+        if not all(0 < c < np.inf for c in (self.a_const, self.b_const)):
+            raise ValueError("tuning constants must be positive finite numbers")
 
     @property
     def r_n(self) -> float:

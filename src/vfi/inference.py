@@ -112,8 +112,13 @@ class _BootstrapProblem:
         self.terms = []
         for structure, orientation, i1, i0 in terms:
             cells = structure.cell_indices(orientation)
-            scale = (1.0 if orientation == "lower" else -1.0) * r_n
-            self.terms.append((structure, cells, structure.base_values(cells), scale, i1, i0))
+            # the kept values are the objective's, negated for "upper"
+            base = structure.near_argmax(orientation).values
+            if orientation == "lower":
+                scale = r_n
+            else:
+                base, scale = -base, -r_n
+            self.terms.append((structure, cells, base, scale, i1, i0))
 
     def replicate_stat(self, ws) -> np.ndarray:
         d = [_cum_from_weights(w, st, n) for w, st, n in zip(ws, self.starts, self.sample_sizes)]

@@ -36,7 +36,6 @@ __all__ = [
     "default_grid",
     "compute_bounds",
     "bounds_to_csv",
-    "bounds_from_csv",
 ]
 
 DEFAULT_GRID_POINTS = 512
@@ -327,9 +326,6 @@ class MakarovStructure:
         out -= np.take(d0, ib, axis=-1)
         return out
 
-    def base_values(self, cells) -> np.ndarray:
-        return self.evaluate(self.c1, self.c0, cells)
-
 
 def quantile_bounds(F1: StepCDF, F0: StepCDF, taus) -> tuple[np.ndarray, np.ndarray]:
     """Inverted bounds (U^{-1}(tau), L^{-1}(tau)) for the quantile function.
@@ -442,10 +438,3 @@ def bounds_to_csv(pair: BoundPair) -> str:
     for x, lo, hi in zip(pair.grid.points, pair.lower.values, pair.upper.values):
         buf.write(f"{float(x)!r},{float(lo)!r},{float(hi)!r}\n")
     return buf.getvalue()
-
-
-def bounds_from_csv(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    rows = [tuple(float(c) for c in ln.split(",")) for ln in lines[1:]]
-    arr = np.asarray(rows)
-    return arr[:, 0], arr[:, 1], arr[:, 2]

@@ -7,7 +7,7 @@ dominance test where the local parameter walks across the breakdown point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,7 +23,9 @@ __all__ = ["ExperimentConfig", "PowerCurve", "run_normal_location", "run_uniform
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Settings of a Monte Carlo experiment; the runner it is passed to is
-    the design.  ``grid_step`` None takes that runner's default step."""
+    the design.  ``grid_step`` None takes that runner's default step.  The
+    bootstrap settings are checked once, as the ``BootstrapConfig`` every
+    problem copies with its own seed."""
 
     n: int = 100
     R: int = 199
@@ -34,6 +36,7 @@ class ExperimentConfig:
     grid_step: float | None = None
     scheme: str = "multinomial"
     threads: int = 1
+    _bootstrap: BootstrapConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 16:
@@ -44,8 +47,8 @@ class ExperimentConfig:
             raise ValueError("delta grid must be nonempty")
         if not np.isfinite(np.asarray(self.deltas, dtype=float)).all():
             raise ValueError("deltas must be finite numbers")
-        if self.threads < 1:
-            raise ValueError("thread count must be at least 1")
+        object.__setattr__(self, "_bootstrap", BootstrapConfig(
+            R=self.R, scheme=self.scheme, alpha=self.alpha, threads=self.threads))
 
 
 @dataclass(frozen=True)
@@ -87,9 +90,7 @@ def run_normal_location(config: ExperimentConfig) -> PowerCurve:
         rng = stream(config.seed, 7001, i, m)
         X0 = Sample(rng.normal(0.0, 1.0, n), label="control")
         X1 = Sample(rng.normal(delta / np.sqrt(n), 1.0, n), label="treated")
-        bconf = BootstrapConfig(R=config.R, scheme=config.scheme, alpha=config.alpha,
-                                threads=config.threads,
-                                seed=derive_seed(config.seed, 7001, i, m))
+        bconf = replace(config._bootstrap, seed=derive_seed(config.seed, 7001, i, m))
         band = uniform_band("lower", X1, X0, config=bconf, step=step)
         L0 = ValueFunction(grid=band.grid, values=_normal_lower_bound(band.grid.points))
         stat = ks_band_stat(ValueFunction(grid=band.grid, values=band.center), L0, band.r_n)
@@ -110,9 +111,7 @@ def run_uniform_dominance(config: ExperimentConfig) -> PowerCurve:
         X0 = Sample(rng.uniform(0.0, 1.0, n), label="control")
         XB = Sample(rng.uniform(0.0, 1.0, n), label="B")
         XA = Sample(rng.uniform(mu, mu + 1.0, n), label="A")
-        bconf = BootstrapConfig(R=config.R, scheme=config.scheme, alpha=config.alpha,
-                                threads=config.threads,
-                                seed=derive_seed(config.seed, 7002, i, m))
+        bconf = replace(config._bootstrap, seed=derive_seed(config.seed, 7002, i, m))
         res = dominance_test(X0, XA, XB, config=bconf, step=step, orientation="sufficient")
         return res.reject
 

@@ -62,4 +62,3 @@ def assert_streamed_matches_dense(F1, F0, grid, a_n, orientations=("lower", "upp
         ia, ib = streamed.cell_indices(o)
         assert_array_equal(ia, dense.ia.ravel()[want.cells], err_msg=f"{o} ia")
         assert_array_equal(ib, dense.ib.ravel()[want.cells], err_msg=f"{o} ib")
-        assert_array_equal(streamed.base_values((ia, ib)), dense.base_values().ravel()[want.cells])

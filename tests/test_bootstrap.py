@@ -8,10 +8,7 @@ from vfi.bootstrap import (
     BLOCK_CELLS,
     SCHEMES,
     BootstrapConfig,
-    _key,
     _keys,
-    _mix,
-    _replicate_seeds,
     _reset_stream,
     bootstrap_statistic_distribution,
     critical_value,
@@ -21,6 +18,41 @@ from vfi.bootstrap import (
     stream,
 )
 from vfi.empirical import Sample, ecdf_build, weighted_ecdf
+
+# A pure-Python reference for the package's seed chain and key rule, in
+# Python ints, one stream at a time.
+
+
+def ref_mix(z: int) -> int:
+    """splitmix64 finalizer."""
+    z = (z + 0x9E3779B97F4A7C15) % 2**64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return z ^ (z >> 31)
+
+
+def ref_seed(seed: int, *ids: int) -> int:
+    """The splitmix64 chain over (seed, *ids), each taken mod 2**64."""
+    k = ref_mix(seed % 2**64)
+    for i in ids:
+        k = ref_mix(k ^ ref_mix(i % 2**64))
+    return k
+
+
+def ref_key(k: int) -> list[int]:
+    """Philox key words (k, mix(k)); both rounded to float64 (a word that
+    rounds to 2**64 wraps to 0) when exactly one is at least 2**63."""
+    words = [k, ref_mix(k)]
+    if (words[0] >> 63) + (words[1] >> 63) == 1:
+        words = [int(float(w)) % 2**64 for w in words]
+    return words
+
+
+def key_words(k: int) -> list[int]:
+    """The package's Philox key words of the stream with 64-bit seed k."""
+    key = _keys(np.array([k], dtype=np.uint64))[0]
+    assert key.dtype == np.uint64
+    return [int(w) for w in key]
 
 
 class TestConfig:
@@ -70,20 +102,15 @@ class TestStreamKeys:
     ])
     def test_pinned_key_words(self, r, words, case):
         k = derive_seed(0, 0, r)
-        assert (k >> 63) + (_mix(k) >> 63) == {"int64": 0, "uint64": 2, "float64": 1}[case]
-        assert _key(k).dtype == np.uint64
-        assert [int(w) for w in _key(k)] == list(words)
+        assert (k >> 63) + (ref_mix(k) >> 63) == {"int64": 0, "uint64": 2, "float64": 1}[case]
+        assert key_words(k) == list(words)
         key = stream(0, 0, r).bit_generator.state["state"]["key"]
         assert [int(w) for w in key] == list(words)
 
     def test_word_rounding_to_two_to_the_64_wraps_to_zero(self):
-        k = 2**64 - 5  # at least 2**63, and _mix(k) is below it
-        assert _mix(k) < 2**63
-        assert [int(w) for w in _key(k)] == [0, 1635312068028924416]
-
-
-def _words(key) -> list[int]:
-    return [int(w) for w in key]
+        k = 2**64 - 5  # at least 2**63, and its mix is below it
+        assert ref_mix(k) < 2**63
+        assert key_words(k) == [0, 1635312068028924416]
 
 
 # 64-bit words at the edges of the key rule: around 2**63, the top of the
@@ -94,39 +121,41 @@ EDGE_WORDS = [0, 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64 - 5,
 
 
 class TestVectorisedStreams:
-    """The replicate streams' seeds and keys, derived for all R replicates
-    of a sample at once, and this thread's reset generator, against the
-    one-stream-at-a-time ``derive_seed``, ``_key`` and ``stream``."""
+    """The package's seed chain and keys, for one stream and for all R
+    replicates of a sample at once, and this thread's reset generator,
+    against the pure-Python reference and one-stream ``stream``."""
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(-2**70, 2**70) | st.sampled_from(EDGE_WORDS + [-1, -2**63]),
-           s=st.integers(0, 4), R=st.integers(1, 40))
+           s=st.integers(0, 4) | st.sampled_from([-1, -2**66, 2**66]), R=st.integers(1, 40))
     @example(seed=-1, s=0, R=5)
     @example(seed=2**63 - 1, s=1, R=5)
     @example(seed=2**63 + 1, s=2, R=5)
     @example(seed=2**64 - 1, s=0, R=5)
     def test_seeds_and_keys_match_the_scalar_chain(self, seed, s, R):
-        seeds = _replicate_seeds(seed, s, R)
-        assert seeds.dtype == np.uint64
-        assert [int(k) for k in seeds] == [derive_seed(seed, s, r) for r in range(R)]
+        want = [ref_seed(seed, s, r) for r in range(R)]
+        assert [derive_seed(seed, s, r) for r in range(R)] == want
+        assert derive_seed(seed, s) == ref_seed(seed, s)
+        seeds = derive_seed(seed, s, np.arange(R, dtype=np.uint64))
+        assert seeds.dtype == np.uint64 and seeds.shape == (R,)
+        assert [int(k) for k in seeds] == want
         keys = _keys(seeds)
         assert keys.dtype == np.uint64 and keys.shape == (R, 2)
-        assert [_words(k) for k in keys] == [_words(_key(derive_seed(seed, s, r)))
-                                             for r in range(R)]
+        assert [[int(w) for w in key] for key in keys] == [ref_key(k) for k in want]
 
     @settings(max_examples=300, deadline=None)
     @given(k=st.integers(0, 2**64 - 1) | st.sampled_from(EDGE_WORDS))
     @example(k=2**64 - 5)  # the float-rounding wrap case of TestStreamKeys
     def test_keys_match_scalar_key(self, k):
-        assert _words(_keys(np.array([k], dtype=np.uint64))[0]) == _words(_key(k))
+        assert key_words(k) == ref_key(k)
 
     def test_edge_words_reach_every_key_case(self):
         # no word, one word or both words of the key at least 2**63
-        assert {(k >> 63) + (_mix(k) >> 63) for k in EDGE_WORDS} == {0, 1, 2}
+        assert {(k >> 63) + (ref_mix(k) >> 63) for k in EDGE_WORDS} == {0, 1, 2}
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_reset_generator_matches_a_fresh_stream(self, scheme):
-        keys = _keys(_replicate_seeds(9, 1, 6))
+        keys = _keys(derive_seed(9, 1, np.arange(6, dtype=np.uint64)))
         gen = stream(0)
         for r, key in enumerate(keys):
             _reset_stream(gen, keys[r - 1])

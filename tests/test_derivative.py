@@ -60,6 +60,13 @@ class TestTuning:
         assert t.a_n == pytest.approx(2 * Tuning(n=100).a_n)
         assert t.b_n == pytest.approx(2 * Tuning(n=100).b_n)
 
+    @pytest.mark.parametrize("const", ["a_const", "b_const"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+    def test_constants_must_be_positive_and_finite(self, const, value):
+        # with a_const = inf every candidate counted as near-argmax
+        with pytest.raises(ValueError, match="positive finite"):
+            Tuning(n=200, **{const: value})
+
 
 class FixedTuning(Tuning):
     """Tuning with directly pinned slack values, for targeted set tests."""

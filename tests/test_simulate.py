@@ -24,6 +24,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             small(deltas=())
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"R": 0}, "replicate count"), ({"alpha": 2.0}, "alpha"), ({"scheme": "x"}, "scheme"),
+        ({"threads": 0}, "thread count")])
+    def test_bootstrap_settings_checked_at_construction(self, setting, message):
+        # they used to fail only when the first Monte Carlo problem ran
+        with pytest.raises(ValueError, match=message):
+            small(**setting)
+
     @pytest.mark.parametrize("deltas", [(float("nan"),), (0.0, float("inf")), (-np.inf,)])
     def test_non_finite_deltas(self, deltas):
         # a library caller used to get "sample 'treated' contains non-finite values"
