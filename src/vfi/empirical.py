@@ -26,7 +26,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Sample:
-    """A finite sample of real outcomes with an optional label."""
+    """A finite sample of real outcomes with an optional label.  Its tie
+    blocks start at ``block_starts``, indices into ``sorted_values``."""
 
     values: np.ndarray
     label: str = ""
@@ -41,6 +42,7 @@ class Sample:
             raise ValueError(f"sample {self.label!r} contains non-finite values")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "_sorted", np.sort(v))
+        object.__setattr__(self, "block_starts", _run_starts(self._sorted))
 
     def __len__(self) -> int:
         return self.values.size
@@ -63,7 +65,7 @@ class StepCDF:
     """Right-continuous step distribution function.
 
     ``jump_points`` are strictly increasing, ``cum_probs`` increasing with
-    final element exactly 1.
+    final element exactly 1.  ``cum0`` is ``cum_probs`` after a 0.0, read-only.
     """
 
     jump_points: np.ndarray
@@ -85,12 +87,13 @@ class StepCDF:
         object.__setattr__(self, "jump_points", jp)
         object.__setattr__(self, "cum_probs", cp)
         # leading zero so searchsorted indices map directly to probabilities
-        object.__setattr__(self, "_cum0", np.concatenate(([0.0], cp)))
+        object.__setattr__(self, "cum0", np.concatenate(([0.0], cp)))
+        self.cum0.flags.writeable = False
 
     def eval(self, x):
         """P(X <= x), right-continuous in x.  Accepts scalars or arrays."""
         idx = np.searchsorted(self.jump_points, x, side="right")
-        out = self._cum0[idx]
+        out = self.cum0[idx]
         return float(out) if np.isscalar(x) else out
 
     __call__ = eval
@@ -98,26 +101,40 @@ class StepCDF:
     def left_limit(self, x):
         """P(X < x): the limit of ``eval`` from the left."""
         idx = np.searchsorted(self.jump_points, x, side="left")
-        out = self._cum0[idx]
+        out = self.cum0[idx]
         return float(out) if np.isscalar(x) else out
 
     def quantile(self, tau):
         """Generalized inverse inf{x : F(x) >= tau} for tau in (0, 1]."""
         t = np.asarray(tau, dtype=float)
-        if np.any(t <= 0.0) or np.any(t > 1.0):
+        if not np.all((t > 0.0) & (t <= 1.0)):  # NaN fails too
             raise ValueError("quantile level must lie in (0, 1]")
         idx = np.searchsorted(self.cum_probs, t, side="left")
         out = self.jump_points[idx]
         return float(out) if np.isscalar(tau) else out
 
 
+def _run_starts(v: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of sorted ``v`` starts (-0.0 == 0.0)."""
+    return np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+
+
+def _cum_from_weights(w: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Cumulative mass array (leading zero) of a sample reweighted by ``w``,
+    summed over its tie blocks (``starts``) and divided by n; for a (B, n)
+    block of weight rows, one array per row.  Unit weights give ``cum0``."""
+    mass = np.add.reduceat(w, starts, axis=-1)
+    cum = np.zeros(mass.shape[:-1] + (mass.shape[-1] + 1,))
+    np.cumsum(mass, axis=-1, out=cum[..., 1:])
+    cum[..., 1:] /= w.shape[-1]
+    return cum
+
+
 def ecdf_build(sample: Sample) -> StepCDF:
-    """Empirical CDF with ties merged into a single jump of aggregate mass."""
-    uniq, counts = np.unique(sample.values, return_counts=True)
-    n = sample.values.size
-    cum = np.cumsum(counts) / n
-    cum[-1] = 1.0
-    return StepCDF(jump_points=uniq, cum_probs=cum)
+    """Empirical CDF, ties merged into one jump: the unit-weight reweighting."""
+    starts = sample.block_starts
+    cum = _cum_from_weights(np.ones(len(sample)), starts)
+    return StepCDF(jump_points=sample.sorted_values[starts], cum_probs=cum[1:])
 
 
 def weighted_ecdf(values: np.ndarray, weights: np.ndarray) -> StepCDF:
@@ -126,20 +143,22 @@ def weighted_ecdf(values: np.ndarray, weights: np.ndarray) -> StepCDF:
     weights = np.asarray(weights, dtype=float)
     if values.shape != weights.shape:
         raise ValueError("weights length must match sample size")
-    if np.any(weights < 0):
-        raise ValueError("weights must be nonnegative")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    if not np.all((weights >= 0) & (weights < np.inf)):
+        raise ValueError("weights must be finite and nonnegative")
     total = weights.sum()
-    if total <= 0:
-        raise ValueError("weights must have positive total mass")
+    if not 0 < total < np.inf:
+        raise ValueError("weights must have a positive, finite total mass")
     order = np.argsort(values, kind="stable")
     v, w = values[order], weights[order]
     # merge ties
-    uniq, start = np.unique(v, return_index=True)
+    start = _run_starts(v)
     mass = np.add.reduceat(w, start) / total
     keep = mass > 0
     cum = np.cumsum(mass[keep])
     cum[-1] = 1.0
-    return StepCDF(jump_points=uniq[keep], cum_probs=cum)
+    return StepCDF(jump_points=v[start[keep]], cum_probs=cum)
 
 
 def _is_number(cell: str) -> bool:

@@ -27,7 +27,7 @@ from .derivative import (
     dominance_derivative_estimates,
     eps_argmax,
 )
-from .empirical import Sample, ecdf_build
+from .empirical import Sample, _cum_from_weights, ecdf_build
 from .makarov import (
     MakarovStructure,
     _resolve_grid,
@@ -76,21 +76,6 @@ class TestResult:
     run: BootstrapRun | None = None
 
 
-def _block_starts(sample: Sample) -> np.ndarray:
-    return np.unique(sample.sorted_values, return_index=True)[1]
-
-
-def _cum_from_weights(w: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
-    """Cumulative mass array (leading zero) of the reweighted sample, on
-    the same unique-value blocks as the plug-in ECDF; for a (B, n) block
-    of weight rows, one array per row."""
-    mass = np.add.reduceat(w, starts, axis=-1)
-    cum = np.zeros(mass.shape[:-1] + (mass.shape[-1] + 1,))
-    np.cumsum(mass, axis=-1, out=cum[..., 1:])
-    cum[..., 1:] /= n
-    return cum
-
-
 class _BootstrapProblem:
     """Bootstrap problem of a statistic whose derivative estimate reads
     bootstrap directions r_n(G* - G) on the kept cells of bound structures
@@ -107,7 +92,7 @@ class _BootstrapProblem:
     def __init__(self, samples, terms, estimate, r_n: float, block_rows: int):
         self.sample_sizes = [len(X) for X in samples]
         self.block_rows = block_rows
-        self.starts = [_block_starts(X) for X in samples]
+        self.starts = [X.block_starts for X in samples]
         self.estimate = estimate
         self.terms = []
         for structure, orientation, i1, i0 in terms:
@@ -121,7 +106,7 @@ class _BootstrapProblem:
             self.terms.append((structure, cells, base, scale, i1, i0))
 
     def replicate_stat(self, ws) -> np.ndarray:
-        d = [_cum_from_weights(w, st, n) for w, st, n in zip(ws, self.starts, self.sample_sizes)]
+        d = [_cum_from_weights(w, st) for w, st in zip(ws, self.starts)]
         hs = []
         for structure, cells, base, scale, i1, i0 in self.terms:
             h = structure.evaluate(d[i1], d[i0], cells)

@@ -153,8 +153,7 @@ def _scan(F1: StepCDF, F0: StepCDF, grid: Grid) -> tuple[np.ndarray, np.ndarray]
     candidates reach them.
     """
     j1, j0 = F1.jump_points, F0.jump_points
-    c1 = np.concatenate(([0.0], F1.cum_probs))
-    c0 = np.concatenate(([0.0], F0.cum_probs))
+    c1, c0 = F1.cum0, F0.cum0
     before = _blocks(c0[:-1])  # F0-part just before each control jump
     after = _blocks(1.0 - c0[1:])  # 1 - F0-part just after each control jump
     jumps = _blocks(j0)
@@ -266,8 +265,7 @@ class MakarovStructure:
         if unknown:
             raise ValueError(f"unknown orientation {unknown.pop()!r}")
         self.grid = grid
-        self.c1 = np.concatenate(([0.0], F1.cum_probs))
-        self.c0 = np.concatenate(([0.0], F0.cum_probs))
+        self.c1, self.c0 = F1.cum0, F0.cum0
         j1, j0 = F1.jump_points, F0.jump_points
         M = j1.size + j0.size
         width = M + 1

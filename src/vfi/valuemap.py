@@ -28,8 +28,8 @@ class Grid:
             raise ValueError("grid needs at least 2 points")
         if not np.all(np.isfinite(p)) or not np.all(np.diff(p) > 0):
             raise ValueError("grid points must be finite and strictly increasing")
-        if not (self.step > 0):
-            raise ValueError("grid step must be positive")
+        if not (0 < self.step < np.inf):
+            raise ValueError("grid step must be positive and finite")
         object.__setattr__(self, "points", p)
 
     def __len__(self) -> int:

@@ -39,6 +39,10 @@ class TestSample:
         with pytest.raises(ValueError):
             Sample(np.zeros((2, 2)))
 
+    def test_block_starts_merge_signed_zeros(self):
+        s = Sample(np.array([1.0, 0.0, -2.0, -0.0, 1.0]))
+        assert_array_equal(s.block_starts, [0, 1, 3])
+
 
 class TestEcdf:
     def test_jumps_merge_ties(self):
@@ -108,6 +112,18 @@ class TestStepCDFValidation:
         F = StepCDF(np.array([0.0]), np.array([1.0 - 1e-13]))
         assert F.cum_probs[-1] == 1.0
 
+    def test_quantile_rejects_nan_level(self):
+        F = ecdf_build(Sample(np.array([3.0, 1.0])))
+        for tau in (float("nan"), np.array([0.5, np.nan])):
+            with pytest.raises(ValueError, match=r"lie in \(0, 1\]"):
+                F.quantile(tau)
+
+    def test_cum0_is_read_only(self):
+        F = ecdf_build(Sample(np.array([3.0, 1.0])))
+        assert_array_equal(F.cum0, [0.0, 0.5, 1.0])
+        with pytest.raises(ValueError):
+            F.cum0[0] = 1.0
+
 
 class TestWeightedEcdf:
     def test_identity_weights_recover_ecdf(self):
@@ -144,6 +160,20 @@ class TestWeightedEcdf:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             weighted_ecdf(np.array([1.0, 2.0]), np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+            weighted_ecdf(np.array([1.0, 2.0]), np.array([1.0, bad]))
+
+    def test_rejects_overflowing_total(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite total"):
+            weighted_ecdf(np.array([1.0, 2.0]), np.array([1e308, 1e308]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="values must be finite"):
+            weighted_ecdf(np.array([1.0, bad]), np.array([1.0, 1.0]))
 
 
 def _outcome(path, column):

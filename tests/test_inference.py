@@ -4,12 +4,14 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from vfi import inference, makarov
 from vfi.bootstrap import BootstrapConfig
 from vfi.derivative import Tuning, derivative_estimates, eps_argmax
-from vfi.empirical import Sample, ecdf_build
+from vfi.empirical import Sample, _cum_from_weights, ecdf_build
 from vfi.inference import (
     Band,
     _BootstrapProblem,
@@ -95,6 +97,44 @@ class TestUniformBand:
         X1, X0 = normal_samples(5)
         with pytest.raises(ValueError, match="lower"):
             uniform_band("middle", X1, X0)
+
+
+# few distinct values, so samples are mostly ties; both signs of zero
+_tied = st.lists(st.sampled_from([-0.0, 0.0, 1.0, -1.5, 2.0, 1e-300]), min_size=1, max_size=25)
+
+
+class TestTieBlocks:
+    """The plug-in ECDF and every bootstrap cumulative array sum over the
+    same tie blocks, found once by ``Sample``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_tied, _tied)
+    @example([0.0], [-0.0])
+    @example([-0.0, 0.0, -0.0], [2.0, 2.0, 2.0, 2.0])
+    def test_one_rule_on_heavy_ties(self, v1, v0):
+        X1, X0 = Sample(np.array(v1)), Sample(np.array(v0))
+        F1, F0 = ecdf_build(X1), ecdf_build(X0)
+        for X, F in ((X1, F1), (X0, F0)):
+            uniq, counts = np.unique(X.values, return_counts=True)
+            cum = np.cumsum(counts) / len(X)
+            cum[-1] = 1.0
+            # bytes, so the sign of a zero jump point counts
+            assert F.jump_points.tobytes() == uniq.tobytes()
+            assert F.cum_probs.tobytes() == cum.tobytes()
+            ones = np.ones((2, len(X)))
+            for d in (_cum_from_weights(ones[0], X.block_starts),
+                      *_cum_from_weights(ones, X.block_starts)):
+                assert d.tobytes() == F.cum0.tobytes()
+        tuning = Tuning(n=100)  # the tuning's floor is above n = 2; any slack will do
+        grid = default_grid(support_bounds(X1, X0))
+        s = MakarovStructure(F1, F0, grid, tuning.a_n, ("lower", "upper"))
+        for which in ("lower", "upper"):
+            sets = eps_argmax(s.near_argmax(which), tuning)
+            problem = _BootstrapProblem((X1, X0), [(s, which, 0, 1)],
+                                        partial(derivative_estimates, StatKind(j=1), sets),
+                                        tuning.r_n, block_rows=2)
+            reps = problem.replicate_stat([np.ones((2, len(X1))), np.ones((2, len(X0)))])
+            assert_array_equal(reps, 0.0)
 
 
 class TestMemory:

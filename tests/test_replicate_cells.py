@@ -12,10 +12,8 @@ from numpy.testing import assert_array_equal
 
 from vfi.bootstrap import BootstrapConfig, bootstrap_statistic_distribution
 from vfi.derivative import Tuning, eps_argmax
-from vfi.empirical import Sample, ecdf_build
+from vfi.empirical import Sample, _cum_from_weights, ecdf_build
 from vfi.inference import (
-    _block_starts,
-    _cum_from_weights,
     bound_bands,
     dominance_test,
     uniform_band,
@@ -40,14 +38,14 @@ class _DenseBand:
         self.per_x = eps_argmax(self.s.objective(which), tuning).per_x
         self.scale = (1.0 if which == "lower" else -1.0) * tuning.r_n
         self.base = self.s.base_values()
-        self.starts = (_block_starts(X1), _block_starts(X0))
+        self.starts = (X1.block_starts, X0.block_starts)
         self.block_rows = 1
 
     def replicate_stat(self, ws):
         return np.array([self._one(row) for row in zip(*ws)])
 
     def _one(self, ws):
-        d1, d0 = (_cum_from_weights(w, st, len(w)) for w, st in zip(ws, self.starts))
+        d1, d0 = (_cum_from_weights(w, st) for w, st in zip(ws, self.starts))
         h = self.scale * (self.s.evaluate(d1, d0) - self.base)
         row = _dense_row_sup(h, self.per_x)
         return float(max(row.max(), -row.min()))
@@ -75,14 +73,14 @@ class _DenseDominance:
             scale = (1.0 if o == "lower" else -1.0) * tuning.r_n
             self.parts.append((s, per_x, scale, s.base_values()))
         self.w = grid.rect_weights()
-        self.starts = [_block_starts(X) for X in (X0, XA, XB)]
+        self.starts = [X.block_starts for X in (X0, XA, XB)]
         self.block_rows = 1
 
     def replicate_stat(self, ws):
         return np.array([self._one(row) for row in zip(*ws)])
 
     def _one(self, ws):
-        d0, dA, dB = (_cum_from_weights(w, st, len(w)) for w, st in zip(ws, self.starts))
+        d0, dA, dB = (_cum_from_weights(w, st) for w, st in zip(ws, self.starts))
         rows = [
             _dense_row_sup(scale * (s.evaluate(d, d0) - base), per_x)
             for d, (s, per_x, scale, base) in zip((dA, dB), self.parts)

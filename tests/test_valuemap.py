@@ -18,6 +18,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(points=np.array([0.0, 1.0]), step=-1.0)
 
+    @pytest.mark.parametrize("step", [np.inf, np.nan, 0.0])
+    def test_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(ValueError, match="grid step must be positive and finite"):
+            Grid(points=np.array([0.0, 1.0]), step=step)
+
     def test_rect_weights_uniform(self):
         g = unit_grid(4)
         assert_allclose(g.rect_weights(), [0.25, 0.25, 0.25, 0.25])
