@@ -36,6 +36,12 @@ class BootstrapConfig:
     threads: int = 1  # for the candidate pass of each structure; replicates run serially
 
     def __post_init__(self):
+        for name in ("R", "seed", "threads"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, not {value!r}") from None
         if self.R < 1:
             raise ValueError("replicate count must be at least 1")
         if self.scheme not in SCHEMES:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import io
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -41,7 +40,7 @@ __all__ = [
 DEFAULT_GRID_POINTS = 512
 MAX_GRID_POINTS = 1_000_000
 MAX_ARGMAX_CELLS = 16_000_000
-_CHUNK = 200_000  # cap on grid-by-sample work arrays
+_CHUNK = 65_536  # cap on the cells of one chunk's work arrays: 512 KiB per float64 array
 _STRIDE = 64  # control jumps per block of the bound scan's coarse pass
 ORIENTATIONS = ("lower", "upper")
 
@@ -71,7 +70,8 @@ class BoundPair:
 
 
 def _chunks(grid: Grid, width: int):
-    """Slices of grid rows whose row-by-width work arrays stay near _CHUNK cells."""
+    """Slices of grid rows whose row-by-width work arrays stay near _CHUNK
+    cells, ``width`` being the cells a pass holds per grid row."""
     rows = max(1, _CHUNK // max(1, width))
     for s in range(0, len(grid), rows):
         yield slice(s, s + rows)
@@ -84,13 +84,16 @@ def _map_chunks(work, grid: Grid, width: int, threads: int):
     of the one yielded, so a consumer that stops early has started at most
     ``threads`` chunks past the last it read.  ``work`` may write only its
     own rows of shared arrays; numpy's searchsorted, takes and reductions
-    release the GIL, so the chunks overlap."""
+    release the GIL, so the chunks overlap.  The pool's module, and the
+    logging it imports, load only when a pool starts."""
     if threads < 1:
         raise ValueError("thread count must be at least 1")
     chunks = list(_chunks(grid, width))
     if threads == 1 or len(chunks) == 1:
         yield from map(work, chunks)
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(threads) as pool:
         ahead = deque()
         for s in chunks:
@@ -151,6 +154,12 @@ def _scan(F1: StepCDF, F0: StepCDF, grid: Grid) -> tuple[np.ndarray, np.ndarray]
     max or min, and reduces them into it.  Equal parts give +0.0 in both
     forms, never -0.0, so the max and min have the same bits whichever
     candidates reach them.
+
+    Both passes hold about _CHUNK cells per work array: a coarse chunk
+    holds as many grid rows as fit at one key per block, and the fine pass
+    ranks the chunk's surviving (row, block) pairs in slices of _CHUNK
+    cells, each reduced into the max and min, so a flat objective, where
+    most blocks survive, does not grow it.
     """
     j1, j0 = F1.jump_points, F0.jump_points
     c1, c0 = F1.cum0, F0.cum0
@@ -162,7 +171,9 @@ def _scan(F1: StepCDF, F0: StepCDF, grid: Grid) -> tuple[np.ndarray, np.ndarray]
     key_before = np.append(before[:, 0], before[-1, -1])
     key_after = np.append(after[:, 0], after[-1, -1])
     lower, upper = np.empty((2, len(grid)))
-    for s in _chunks(grid, j0.size):
+    pairs = max(1, _CHUNK // _STRIDE)  # (row, block) pairs a fine slice ranks
+    nb = jumps.shape[0]
+    for s in _chunks(grid, keys.size):
         xs = grid.points[s]
         lt, ties = _ranks(j1, keys + xs[:, None])
         top = c1.take(lt)
@@ -173,15 +184,18 @@ def _scan(F1: StepCDF, F0: StepCDF, grid: Grid) -> tuple[np.ndarray, np.ndarray]
         floor = bottom[:, :-1] + after[:, -1]  # min-side bound of each block
         bottom += key_after
         top, bottom = top.max(axis=1), bottom.min(axis=1)
-        row, block = np.nonzero((cap > top[:, None]) | (floor < bottom[:, None]))
-        lt, ties = _ranks(j1, jumps[block] + xs[row, None])
-        hi = (c1.take(lt) - before[block]).max(axis=1)
-        lt += ties
-        lo = (c1.take(lt) + after[block]).min(axis=1)
-        first = np.flatnonzero(np.diff(row, prepend=-1))
-        row = row[first]
-        top[row] = np.maximum(top[row], np.maximum.reduceat(hi, first))
-        bottom[row] = np.minimum(bottom[row], np.minimum.reduceat(lo, first))
+        ranked = np.flatnonzero((cap > top[:, None]) | (floor < bottom[:, None]))
+        del lt, ties, cap, floor  # freed before the fine slices, which hold the budget again
+        for f in range(0, ranked.size, pairs):
+            row, block = np.divmod(ranked[f:f + pairs], nb)
+            lt, ties = _ranks(j1, jumps[block] + xs[row, None])
+            hi = (c1.take(lt) - before[block]).max(axis=1)
+            lt += ties
+            lo = (c1.take(lt) + after[block]).min(axis=1)
+            first = np.flatnonzero(np.diff(row, prepend=-1))
+            row = row[first]
+            top[row] = np.maximum(top[row], np.maximum.reduceat(hi, first))
+            bottom[row] = np.minimum(bottom[row], np.minimum.reduceat(lo, first))
         lower[s], upper[s] = top, bottom
     return lower, upper
 
@@ -251,12 +265,13 @@ class MakarovStructure:
     each chunk's index pairs and values and keeps, per orientation
     ("lower": the objective, "upper": its negation), only the cells within
     ``a_n`` of their row's maximum, with their index pairs.  Memory is
-    O(chunk + kept cells); the whole K x (M + 1) candidate matrix is never
-    held.  With ``threads`` > 1 the chunks run on a thread pool and their
-    cells are concatenated in chunk order, so the result does not depend
-    on the thread count.  Bootstrap directions jump at the same event
-    points, so any reweighting of the same observations is evaluated
-    exactly through the kept index pairs.
+    O(chunk + kept cells), a chunk holding about _CHUNK candidates; the
+    whole K x (M + 1) candidate matrix is never held.  With ``threads`` > 1
+    the chunks run on a thread pool and their cells are concatenated in
+    chunk order, so the result does not depend on the thread count.
+    Bootstrap directions jump at the same event points, so any reweighting
+    of the same observations is evaluated exactly through the kept index
+    pairs.
     """
 
     def __init__(self, F1: StepCDF, F0: StepCDF, grid: Grid, a_n: float,
@@ -264,6 +279,8 @@ class MakarovStructure:
         unknown = set(orientations) - set(ORIENTATIONS)
         if unknown:
             raise ValueError(f"unknown orientation {unknown.pop()!r}")
+        if not 0.0 <= a_n < np.inf:
+            raise ValueError(f"slack a_n={a_n!r} must be finite and nonnegative")
         self.grid = grid
         self.c1, self.c0 = F1.cum0, F0.cum0
         j1, j0 = F1.jump_points, F0.jump_points
@@ -289,7 +306,7 @@ class MakarovStructure:
 
         parts = {o: [] for o in wanted}
         kept = 0
-        with closing(_map_chunks(keep_chunk, grid, M, threads)) as chunks:
+        with closing(_map_chunks(keep_chunk, grid, width, threads)) as chunks:
             for chunk in chunks:  # in chunk order, whatever the thread count
                 for o, part in zip(wanted, chunk):
                     parts[o].append(part)
@@ -300,7 +317,10 @@ class MakarovStructure:
                         "near-argmax candidate cells, the limit")
         self._kept = {}
         for o in wanted:
-            cells, counts, vals, ia, ib = (np.concatenate(p) for p in zip(*parts.pop(o)))
+            # joined one field at a time, each field's chunk parts dropped as
+            # it goes, so the kept cells are never held twice
+            fields = list(zip(*parts.pop(o)))
+            cells, counts, vals, ia, ib = (np.concatenate(fields.pop(0)) for _ in range(5))
             near = NearArgmax(grid=grid, width=width, slack=a_n, row_max=row_max[o],
                               cells=cells, counts=counts, values=vals)
             self._kept[o] = (near, (ia, ib))
@@ -420,9 +440,9 @@ def compute_bounds(X1: Sample, X0: Sample, grid: Grid | None = None,
                    step: float | None = None) -> BoundPair:
     """Plug-in lower and upper bounds on ``grid`` (by default the padded
     ``default_grid`` with spacing ``step``; not both).  The bound scan runs
-    on one thread: its chunks are small (2 grid rows of 1 key per _STRIDE
-    control jumps at n = 1e5 per arm), and a second thread did not speed it
-    up on two cores."""
+    on one thread: its chunks are small (about _CHUNK cells, as 41 grid
+    rows of 1,564 keys, one per _STRIDE control jumps, at n = 1e5 per arm),
+    and a second thread did not speed it up on two cores."""
     F1, F0 = ecdf_build(X1), ecdf_build(X0)
     grid = _resolve_grid(grid, step, X0, (X1,))
     lower, upper = _scan(F1, F0, grid)

@@ -48,7 +48,8 @@ class ExperimentConfig:
         if not np.isfinite(np.asarray(self.deltas, dtype=float)).all():
             raise ValueError("deltas must be finite numbers")
         object.__setattr__(self, "_bootstrap", BootstrapConfig(
-            R=self.R, scheme=self.scheme, alpha=self.alpha, threads=self.threads))
+            R=self.R, scheme=self.scheme, seed=self.seed, alpha=self.alpha,
+            threads=self.threads))
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             BootstrapConfig(alpha=1.0)
 
+    @pytest.mark.parametrize("field", ["R", "seed", "threads"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "3", None])
+    def test_integer_fields(self, field, value):
+        # R=2.5 and seed=1.5 used to fail only when the run drew weights,
+        # and threads=1.5 reached the thread pool
+        with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+            BootstrapConfig(**{field: value})
+
+    def test_integer_like_values_accepted(self):
+        config = BootstrapConfig(R=np.int64(9), seed=np.uint64(2**63), threads=np.int32(2))
+        assert (config.R, config.seed, config.threads) == (9, 2**63, 2)
+
 
 class TestStreams:
     def test_deterministic(self):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from vfi import makarov
+from vfi.derivative import Tuning
 from vfi.empirical import Sample, ecdf_build
 from vfi.makarov import (
     ORIENTATIONS,
@@ -100,6 +101,17 @@ def strides(monkeypatch):
             monkeypatch.setattr(makarov, "_STRIDE", S)
             yield S
     return each
+
+
+def scan_width(F0):
+    """Cells a grid row of the scan's coarse pass holds at the current
+    stride: one key per block of control jumps, and the last jump."""
+    return makarov._blocks(F0.jump_points).shape[0] + 1
+
+
+def pass_width(F1, F0):
+    """Cells a grid row of the candidate pass holds: M + 1."""
+    return F1.jump_points.size + F0.jump_points.size + 1
 
 
 def assert_kernel_matches_reference(F1, F0, grid, strides):
@@ -290,11 +302,11 @@ class TestRowKernel:
         rng = np.random.default_rng(22)
         X1, X0 = Sample(np.round(rng.normal(0, 1, 17), 1)), Sample(rng.normal(0, 1, 12))
         F1, F0 = ecdf_build(X1), ecdf_build(X0)
-        width = F1.jump_points.size + F0.jump_points.size
         grid = default_grid(support_bounds(X1, X0), 0.13)
         for rows in (1, 3, 7):
             assert rows == 1 or len(grid) % rows, "the last chunk should be short"
-            monkeypatch.setattr(makarov, "_CHUNK", rows * width)
+            # chunks of `rows` grid rows in the candidate pass
+            monkeypatch.setattr(makarov, "_CHUNK", rows * pass_width(F1, F0))
             assert_kernel_matches_reference(F1, F0, grid, strides)
 
 
@@ -314,9 +326,10 @@ class TestThreadedChunks:
     def test_scan(self, case, rows, monkeypatch, strides):
         F1, F0, grid = case
         lower, upper = makarov._scan(F1, F0, grid)
-        monkeypatch.setattr(makarov, "_CHUNK", rows * F0.jump_points.size)
-        assert len(list(makarov._chunks(grid, F0.jump_points.size))) > 3
         for S in strides():
+            # the coarse keys a row holds depend on the stride
+            monkeypatch.setattr(makarov, "_CHUNK", rows * scan_width(F0))
+            assert len(list(makarov._chunks(grid, scan_width(F0)))) > 3
             got = makarov._scan(F1, F0, grid)
             assert_array_equal(got[0], lower, err_msg=f"lower, stride {S}")
             assert_array_equal(got[1], upper, err_msg=f"upper, stride {S}")
@@ -326,7 +339,8 @@ class TestThreadedChunks:
     def test_structure(self, case, rows, threads, monkeypatch):
         F1, F0, grid = case
         serial = MakarovStructure(F1, F0, grid, a_n=0.15)
-        monkeypatch.setattr(makarov, "_CHUNK", rows * (F1.jump_points.size + F0.jump_points.size))
+        monkeypatch.setattr(makarov, "_CHUNK", rows * pass_width(F1, F0))
+        assert len(list(makarov._chunks(grid, pass_width(F1, F0)))) > 3
         got = MakarovStructure(F1, F0, grid, a_n=0.15, threads=threads)
         for o in ORIENTATIONS:
             for field in ("cells", "counts", "values", "row_max"):
@@ -379,6 +393,13 @@ def normal_pair(n, seed):
     return ecdf_build(X1), ecdf_build(X0), default_grid(support_bounds(X1, X0))
 
 
+def interleaved_lattices(n):
+    """Treated k/n and control (k + 1/2)/n: the objective is flat, so the
+    fine pass of the scan ranks nearly every block."""
+    X1, X0 = Sample(np.arange(n) / n), Sample((np.arange(n) + 0.5) / n)
+    return ecdf_build(X1), ecdf_build(X0), default_grid(support_bounds(X1, X0))
+
+
 class TestPrunedScan:
     """The two-pass scan on samples of many blocks, against the per-row
     reference; and the share of candidates it ranks and the memory it
@@ -407,6 +428,31 @@ class TestPrunedScan:
         makarov._scan(F1, F0, grid)
         assert sum(ranked) < 0.1 * len(grid) * F0.jump_points.size
 
+    def test_fine_pass_in_slices(self, monkeypatch):
+        # one coarse chunk of every grid row; a fine slice ranks as many
+        # cells as the chunk holds, an eighth of the blocks at stride 8, and
+        # the flat objective makes nearly every block reach the fine pass
+        F1, F0, grid = interleaved_lattices(120)
+        monkeypatch.setattr(makarov, "_STRIDE", 8)
+        lower = reference_scan(F1, F0, grid, lambda a, b: a - b, np.max)
+        upper = reference_scan(F1, F0, grid, lambda a, b: (1.0 - b) + a, np.min)
+        ranked = []
+
+        def counted(j1, rows):
+            ranked.append(rows.size)
+            return ranks(j1, rows)
+
+        ranks = makarov._ranks
+        monkeypatch.setattr(makarov, "_ranks", counted)
+        monkeypatch.setattr(makarov, "_CHUNK", len(grid) * scan_width(F0))
+        got = makarov._scan(F1, F0, grid)
+        chunks = len(list(makarov._chunks(grid, scan_width(F0))))
+        slices = ranked[1:]
+        assert chunks == 1 and len(slices) > 3
+        assert max(slices) <= makarov._CHUNK
+        assert_array_equal(got[0], lower)
+        assert_array_equal(got[1], upper)
+
     def test_peak_at_n_1e5(self):
         # the one-pass scan held two float and one bool row-by-sample work
         # arrays per thread: a 12 MB peak here on two threads, 7 MB on one
@@ -418,6 +464,41 @@ class TestPrunedScan:
         finally:
             tracemalloc.stop()
         assert peak < 12e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+# eight float64 work arrays of the row-chunk passes' 65,536-cell budget
+WORK_BOUND = 8 * 8 * 65_536
+
+
+class TestWorkingMemory:
+    """The tracemalloc peak of each row-chunk pass beyond what it returns
+    stays under one bound set by the chunk budget, whatever n is."""
+
+    @pytest.mark.parametrize("n", [1_000, 10_000])
+    def test_candidate_pass(self, n):
+        F1, F0, grid = normal_pair(n, seed=5)
+        tracemalloc.start()
+        try:
+            s = MakarovStructure(F1, F0, grid, Tuning(n=2 * n).a_n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = 0
+        for o in ORIENTATIONS:
+            near = s.near_argmax(o)
+            kept += sum(a.nbytes for a in (near.cells, near.counts, near.values, near.row_max,
+                                           *s.cell_indices(o)))
+        assert peak - kept < WORK_BOUND, f"{(peak - kept) / 2**20:.2f} MiB beyond the kept cells"
+
+    def test_scan_on_interleaved_lattices(self):
+        F1, F0, grid = interleaved_lattices(10_000)
+        tracemalloc.start()
+        try:
+            makarov._scan(F1, F0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < WORK_BOUND, f"{peak / 2**20:.2f} MiB"
 
 
 class TestStructure:
@@ -453,7 +534,7 @@ class TestStructure:
         F1, F0 = ecdf_build(X1), ecdf_build(X0)
         grid = default_grid(support_bounds(X1, X0), 0.1)
         width = F1.jump_points.size + F0.jump_points.size
-        monkeypatch.setattr(makarov, "_CHUNK", width)  # one grid row per chunk
+        monkeypatch.setattr(makarov, "_CHUNK", pass_width(F1, F0))  # one grid row per chunk
         # a slack this large keeps all M + 1 = width + 1 cells of a row,
         # for each orientation: the fourth row passes three rows' worth
         limit = 3 * 2 * (width + 1)
@@ -484,6 +565,14 @@ class TestStructure:
         with pytest.raises(ArgmaxBudgetError, match=f"{limit} near-argmax"):
             MakarovStructure(F1, F0, grid, a_n=10.0, threads=threads)
         assert 4 <= len(rows) <= 4 + threads < len(grid)
+
+    @pytest.mark.parametrize("a_n", [-0.1, float("nan"), float("inf")])
+    def test_slack_must_be_finite_and_nonnegative(self, a_n):
+        # a NaN or negative slack kept no cell, and eps_argmax failed on
+        # empty argmax sets; an infinite one kept every candidate
+        F1, F0, grid = ulp_spaced_case()
+        with pytest.raises(ValueError, match="a_n"):
+            MakarovStructure(F1, F0, grid, a_n)
 
     def test_objective_rejects_unknown_orientation(self):
         X1, X0 = random_pair(np.random.default_rng(11))

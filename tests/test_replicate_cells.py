@@ -178,7 +178,8 @@ def _on_pool(monkeypatch, grid, treated, control):
     pool, and record the threads that build index pairs in the returned
     set."""
     F0 = ecdf_build(control)
-    widths = [ecdf_build(X).jump_points.size + F0.jump_points.size for X in treated]
+    # the candidate pass holds M + 1 cells a grid row
+    widths = [ecdf_build(X).jump_points.size + F0.jump_points.size + 1 for X in treated]
     monkeypatch.setattr(makarov, "_CHUNK", 3 * min(widths))
     assert all(len(list(makarov._chunks(grid, w))) > 3 for w in widths)
     ran_on, index_pairs = set(), makarov._index_pairs
@@ -275,7 +276,7 @@ def test_streamed_cells_match_dense(ties, rows, monkeypatch):
     F1, F0 = ecdf_build(X1), ecdf_build(X0)
     grid = default_grid(support_bounds(X1, X0), 0.07)
     assert rows == 1 or len(grid) % rows, "the last chunk should be short"
-    width = F1.jump_points.size + F0.jump_points.size
+    width = F1.jump_points.size + F0.jump_points.size + 1  # M + 1 cells a grid row
     monkeypatch.setattr(makarov, "_CHUNK", rows * width)
     for a_n in (0.0, Tuning(n=len(X1) + len(X0)).a_n, 0.3):
         assert_streamed_matches_dense(F1, F0, grid, a_n)

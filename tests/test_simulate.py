@@ -32,6 +32,11 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             small(**setting)
 
+    @pytest.mark.parametrize("field", ["R", "seed", "threads"])
+    def test_bootstrap_integers_checked_at_construction(self, field):
+        with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+            small(**{field: 1.5})
+
     @pytest.mark.parametrize("deltas", [(float("nan"),), (0.0, float("inf")), (-np.inf,)])
     def test_non_finite_deltas(self, deltas):
         # a library caller used to get "sample 'treated' contains non-finite values"

@@ -1,6 +1,7 @@
 """What importing vfi does to the process: one OpenBLAS thread and no
-variable left behind, no BLAS call in the package that would want more, and
-no scipy until a command needs it."""
+variable left behind, no BLAS call in the package that would want more, no
+scipy until a command needs it, and no thread-pool module until a pool
+starts."""
 
 import ast
 import json
@@ -39,11 +40,16 @@ def _after_import(code, **env):
     return _fresh(code + "\n" + report, **env)
 
 
-def _scipy_modules(code):
-    """The scipy modules loaded after ``code`` runs."""
+def _loaded(code, *packages):
+    """The modules of ``packages`` loaded after ``code`` runs."""
     report = ("import json, sys\n"
-              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+              "print(json.dumps(sorted(m for m in sys.modules\n"
+              f"                        if m.split('.')[0] in {packages!r})))\n")
     return _fresh(code + "\n" + report)
+
+
+# a thread pool's module and the logging it imports
+POOL_PACKAGES = ("concurrent", "logging")
 
 
 def test_import_pins_openblas_to_one_thread():
@@ -65,24 +71,33 @@ def test_numpy_imported_first_is_left_alone():
 
 
 def test_cli_import_loads_no_scipy():
-    assert _scipy_modules("import vfi.cli") == []
+    assert _loaded("import vfi.cli", "scipy") == []
 
 
-def _after_simulate(experiment):
-    return _scipy_modules(
+def test_cli_import_loads_no_pool_module():
+    assert _loaded("import vfi.cli", *POOL_PACKAGES) == []
+
+
+def _after_simulate(experiment, *packages, threads=1):
+    return _loaded(
         "import vfi.cli\n"
         f"argv = ['simulate', '{experiment}', '--n', '20', '--R', '9', '--reps', '1',\n"
-        "        '--deltas', '0', '--threads', '1']\n"
-        "assert vfi.cli.run_cli(argv) == 0")
+        f"        '--deltas', '0', '--threads', '{threads}']\n"
+        "assert vfi.cli.run_cli(argv) == 0", *packages)
 
 
 def test_simulate_dominance_loads_no_scipy():
-    assert _after_simulate("dominance") == []
+    assert _after_simulate("dominance", "scipy") == []
+
+
+def test_simulate_on_two_threads_loads_no_pool_module():
+    # its structures fit one chunk of the candidate pass, so no pool starts
+    assert _after_simulate("dominance", *POOL_PACKAGES, threads=2) == []
 
 
 def test_simulate_normal_loads_scipy_special_only():
     # its closed form takes ndtr, not scipy.stats' norm.cdf
-    loaded = _after_simulate("normal")
+    loaded = _after_simulate("normal", "scipy")
     assert "scipy.special" in loaded and "scipy.stats" not in loaded
 
 
