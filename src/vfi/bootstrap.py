@@ -27,6 +27,16 @@ SCHEMES = ("multinomial", "bayesian")
 BLOCK_CELLS = 2**15  # cap on the cells of one block's work arrays
 
 
+def _require_ints(config, *names) -> None:
+    """A TypeError naming the first field in ``names`` that is not an integer."""
+    for name in names:
+        value = getattr(config, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, not {value!r}") from None
+
+
 @dataclass(frozen=True)
 class BootstrapConfig:
     R: int = 199
@@ -36,12 +46,7 @@ class BootstrapConfig:
     threads: int = 1  # for the candidate pass of each structure; replicates run serially
 
     def __post_init__(self):
-        for name in ("R", "seed", "threads"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, not {value!r}") from None
+        _require_ints(self, "R", "seed", "threads")
         if self.R < 1:
             raise ValueError("replicate count must be at least 1")
         if self.scheme not in SCHEMES:

@@ -5,7 +5,8 @@ The derivative estimators read a bootstrap direction only on the per-x
 eps-argmax cells of the plug-in objective, a few percent of its candidates.
 One pass over chunks of grid rows (``MakarovStructure``) keeps those cells'
 index pairs, so every replicate reuses them, evaluates its direction there
-alone, and only the cumulative weight arrays change.
+alone, and only the cumulative weight arrays change.  The structure also
+gives its pair's plug-in bound (``bound``) and directions (``directions``).
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ from .derivative import (
     eps_argmax,
 )
 from .empirical import Sample, _cum_from_weights, ecdf_build
-from .makarov import (
-    MakarovStructure,
-    _resolve_grid,
-    _scan,
-    upper_bound,
-)
+from .makarov import MakarovStructure, _resolve_grid
 from .stats import StatKind, dominance_stat
 from .valuemap import Grid, ValueFunction
 
@@ -84,48 +80,20 @@ class _BootstrapProblem:
     Each term (structure, orientation, treated index, control index) reads
     the kept cells of one orientation of a structure, with the cumulative
     weight arrays of those two of ``samples``.  Each call builds every
-    sample's array once, evaluates each term, subtracts its base values,
-    scales by r_n ("lower") or -r_n ("upper"), and returns ``estimate``
-    of the directions, one (B, cells) block per term.  ``block_rows`` is
-    the replicates per call."""
+    sample's array once and returns ``estimate`` of the terms' ``directions``,
+    one (B, cells) block per term.  ``block_rows`` is the replicates per
+    call."""
 
     def __init__(self, samples, terms, estimate, r_n: float, block_rows: int):
         self.sample_sizes = [len(X) for X in samples]
         self.block_rows = block_rows
         self.starts = [X.block_starts for X in samples]
-        self.estimate = estimate
-        self.terms = []
-        for structure, orientation, i1, i0 in terms:
-            cells = structure.cell_indices(orientation)
-            # the kept values are the objective's, negated for "upper"
-            base = structure.near_argmax(orientation).values
-            if orientation == "lower":
-                scale = r_n
-            else:
-                base, scale = -base, -r_n
-            self.terms.append((structure, cells, base, scale, i1, i0))
+        self.terms, self.estimate, self.r_n = terms, estimate, r_n
 
     def replicate_stat(self, ws) -> np.ndarray:
         d = [_cum_from_weights(w, st) for w, st in zip(ws, self.starts)]
-        hs = []
-        for structure, cells, base, scale, i1, i0 in self.terms:
-            h = structure.evaluate(d[i1], d[i0], cells)
-            h -= base
-            h *= scale
-            hs.append(h)
-        return self.estimate(*hs)
-
-
-def _plugin(X1: Sample, X0: Sample, grid: Grid | None, step: float | None,
-            a_n: float, orientations: tuple[str, ...], config: BootstrapConfig):
-    """Near-argmax candidates of the given orientations, from one pass, and
-    the clipped (lower, upper) plug-in bounds, from the scan behind `bounds`
-    output so that band centers match it bit for bit.  The candidate pass
-    runs its row chunks on the config's threads; the scan runs on one."""
-    F1, F0 = ecdf_build(X1), ecdf_build(X0)
-    grid = _resolve_grid(grid, step, X0, (X1,))
-    structure = MakarovStructure(F1, F0, grid, a_n, orientations, config.threads)
-    return structure, np.clip(_scan(F1, F0, grid), 0.0, 1.0)
+        return self.estimate(*(structure.directions(o, d[i1], d[i0], self.r_n)
+                               for structure, o, i1, i0 in self.terms))
 
 
 def uniform_band(which: str, X1: Sample, X0: Sample,
@@ -141,22 +109,28 @@ def uniform_band(which: str, X1: Sample, X0: Sample,
     """
     if which not in ("lower", "upper"):
         raise ValueError(f"band target must be 'lower' or 'upper', got {which!r}")
-    tuning = tuning or Tuning(n=len(X1) + len(X0))
-    structure, (lower, upper) = _plugin(X1, X0, grid, step, tuning.a_n, (which,), config)
-    center = lower if which == "lower" else upper
-    return _band(which, X1, X0, structure, center, config, tuning)
+    return _bands((which,), X1, X0, config, grid, step, tuning)[0]
 
 
 def bound_bands(X1: Sample, X0: Sample,
                 config: BootstrapConfig = BootstrapConfig(), grid: Grid | None = None,
                 step: float | None = None, tuning: Tuning | None = None) -> tuple[Band, Band]:
     """The lower and upper ``uniform_band`` at the same level, sharing one
-    candidate pass and one bound scan."""
+    candidate pass; only the upper center runs the bound scan."""
+    return _bands(("lower", "upper"), X1, X0, config, grid, step, tuning)
+
+
+def _bands(orientations: tuple[str, ...], X1: Sample, X0: Sample, config: BootstrapConfig,
+           grid: Grid | None, step: float | None, tuning: Tuning | None) -> tuple[Band, ...]:
+    """One band per orientation from one candidate pass on the config's threads."""
     tuning = tuning or Tuning(n=len(X1) + len(X0))
-    structure, (lower, upper) = _plugin(X1, X0, grid, step, tuning.a_n, ("lower", "upper"),
-                                        config)
-    return (_band("lower", X1, X0, structure, lower, config, tuning),
-            _band("upper", X1, X0, structure, upper, config, tuning))
+    F1, F0 = ecdf_build(X1), ecdf_build(X0)
+    grid = _resolve_grid(grid, step, X0, (X1,))
+    structure = MakarovStructure(F1, F0, grid, tuning.a_n, orientations, config.threads)
+    # centers first: a scan after a bootstrap would top its heap (peak RSS)
+    centers = [structure.bound(o) for o in orientations]
+    return tuple(_band(o, X1, X0, structure, c, config, tuning)
+                 for o, c in zip(orientations, centers))
 
 
 def _band(which: str, X1: Sample, X0: Sample, structure: MakarovStructure,
@@ -225,14 +199,7 @@ def dominance_test(X0: Sample, XA: Sample, XB: Sample,
         orientA, orientB, integrand_sign = "upper", "lower", -1.0
     sA = MakarovStructure(FA, F0, grid, tuning.a_n, (orientA,), config.threads)
     sB = MakarovStructure(FB, F0, grid, tuning.a_n, (orientB,), config.threads)
-    # one pair is read as "lower": its clipped row maxima are its lower
-    # bound, bit for bit, so only the other pair needs the bound scan
-    if orientation == "necessary":
-        lv = np.clip(sA.near_argmax("lower").row_max, 0.0, 1.0)  # L_A
-        rv = upper_bound(FB, F0, grid).values  # U_B
-    else:
-        lv = upper_bound(FA, F0, grid).values  # U_A
-        rv = np.clip(sB.near_argmax("lower").row_max, 0.0, 1.0)  # L_B
+    lv, rv = sA.bound(orientA), sB.bound(orientB)  # one is "upper": one scan
     gap = lv - rv
     left = ValueFunction(grid=grid, values=lv)
     right = ValueFunction(grid=grid, values=rv)

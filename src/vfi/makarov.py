@@ -271,7 +271,10 @@ class MakarovStructure:
     chunk order, so the result does not depend on the thread count.
     Bootstrap directions jump at the same event points, so any reweighting
     of the same observations is evaluated exactly through the kept index
-    pairs.
+    pairs, through which ``directions`` reads the bootstrap directions.
+    ``bound`` gives a kept orientation's clipped plug-in bound: the clipped
+    row maxima for "lower" (``lower_bound``, bit for bit), one ``upper_bound``
+    scan for "upper" (1 minus the row maxima can differ in the last bit).
     """
 
     def __init__(self, F1: StepCDF, F0: StepCDF, grid: Grid, a_n: float,
@@ -282,6 +285,7 @@ class MakarovStructure:
         if not 0.0 <= a_n < np.inf:
             raise ValueError(f"slack a_n={a_n!r} must be finite and nonnegative")
         self.grid = grid
+        self.F1, self.F0 = F1, F0
         self.c1, self.c0 = F1.cum0, F0.cum0
         j1, j0 = F1.jump_points, F0.jump_points
         M = j1.size + j0.size
@@ -333,6 +337,28 @@ class MakarovStructure:
         """Index pairs into (d1, d0) of the kept cells of one orientation,
         in the order of their ``near_argmax`` cells, for ``evaluate``."""
         return self._kept[orientation][1]
+
+    def bound(self, orientation: str) -> np.ndarray:
+        """The clipped plug-in bound of a kept orientation on the grid."""
+        near = self.near_argmax(orientation)  # a KeyError if not kept
+        if orientation == "lower":
+            return np.clip(near.row_max, 0.0, 1.0)
+        return upper_bound(self.F1, self.F0, self.grid).values
+
+    def directions(self, orientation: str, d1: np.ndarray, d0: np.ndarray, r_n: float):
+        """Bootstrap directions r_n(G* - G) of one orientation's objective
+        on its kept cells, G* read by ``evaluate`` from d1, d0; the "upper"
+        objective is the negation, so its kept values are -G and its
+        directions -r_n(G* + values)."""
+        near, cells = self._kept[orientation]
+        h = self.evaluate(d1, d0, cells)
+        if orientation == "lower":
+            h -= near.values
+            h *= r_n
+        else:
+            h += near.values
+            h *= -r_n
+        return h
 
     def evaluate(self, d1: np.ndarray, d0: np.ndarray, cells) -> np.ndarray:
         """g1(u) - g0(u - x) at the candidates ``cells`` (from

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, derive_seed, stream
+from .bootstrap import BootstrapConfig, _require_ints, derive_seed, stream
 from .empirical import Sample
 from .inference import dominance_test, uniform_band
 from .stats import ks_band_stat
@@ -39,6 +39,7 @@ class ExperimentConfig:
     _bootstrap: BootstrapConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _require_ints(self, "n", "reps")
         if self.n < 16:
             raise ValueError("per-sample n must be at least 16")
         if self.reps < 1:

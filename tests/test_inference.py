@@ -219,7 +219,7 @@ class TestCdfBand:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(inference, "_scan", counted(makarov._scan, "scan"))
+        monkeypatch.setattr(makarov, "_scan", counted(makarov._scan, "scan"))
         monkeypatch.setattr(inference, "MakarovStructure",
                             counted(MakarovStructure, "structure"))
         cfg = BootstrapConfig(R=49, seed=10, alpha=0.025)
@@ -231,6 +231,17 @@ class TestCdfBand:
                 assert_array_equal(getattr(got, field), getattr(want, field))
             assert_array_equal(got.run.replicates, want.run.replicates)
             assert (got.c_star, got.alpha, got.r_n) == (want.c_star, want.alpha, want.r_n)
+        # the lower center is the candidate pass's clipped row maxima: no
+        # scan; the upper center and a dominance test's one "upper" pair
+        # run one each
+        cfg = BootstrapConfig(R=9, seed=10)
+        for run, scans in ((partial(uniform_band, "lower", X1, X0), 0),
+                           (partial(uniform_band, "upper", X1, X0), 1),
+                           (partial(dominance_test, X0, X1, X0, orientation="necessary"), 1),
+                           (partial(dominance_test, X0, X1, X0, orientation="sufficient"), 1)):
+            calls.clear()
+            run(config=cfg, step=0.2)
+            assert calls.count("scan") == scans, run
 
     def test_alpha_mismatch_rejected(self):
         X1, X0 = normal_samples(9)

@@ -515,6 +515,9 @@ class TestStructure:
             # the direct path arranges the arithmetic differently; agreement
             # is up to one rounding step
             assert_allclose(Uv, upper_bound(F1, F0, grid).values, atol=1e-15, rtol=0)
+            # bound() reads each as the plug-in path does, bit for bit
+            assert_array_equal(s.bound("lower"), lower_bound(F1, F0, grid).values)
+            assert_array_equal(s.bound("upper"), upper_bound(F1, F0, grid).values)
 
     def test_base_weights_reproduce_plugin(self):
         rng = np.random.default_rng(10)
@@ -525,6 +528,16 @@ class TestStructure:
         for o, sign in (("lower", 1.0), ("upper", -1.0)):
             cells = s.cell_indices(o)
             assert_array_equal(s.evaluate(s.c1, s.c0, cells), sign * s.near_argmax(o).values)
+            # the plug-in arrays, as a B = 2 block, are replicates with no
+            # direction on any kept cell
+            h = s.directions(o, np.stack([s.c1, s.c1]), np.stack([s.c0, s.c0]), 7.5)
+            assert h.shape == (2, s.near_argmax(o).cells.size)
+            assert not h.any()
+        for kept in ORIENTATIONS:
+            one = MakarovStructure(F1, F0, grid, a_n=0.1, orientations=(kept,))
+            other, = set(ORIENTATIONS) - {kept}
+            with pytest.raises(KeyError):
+                one.bound(other)
 
     @staticmethod
     def _budget_case(monkeypatch):

@@ -32,7 +32,9 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             small(**setting)
 
-    @pytest.mark.parametrize("field", ["R", "seed", "threads"])
+    # a float n or reps used to construct, and the first problem failed with
+    # "'float' object cannot be interpreted as an integer", naming no field
+    @pytest.mark.parametrize("field", ["R", "seed", "threads", "n", "reps"])
     def test_bootstrap_integers_checked_at_construction(self, field):
         with pytest.raises(TypeError, match=f"^{field} must be an integer"):
             small(**{field: 1.5})
