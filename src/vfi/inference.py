@@ -116,7 +116,7 @@ def bound_bands(X1: Sample, X0: Sample,
                 config: BootstrapConfig = BootstrapConfig(), grid: Grid | None = None,
                 step: float | None = None, tuning: Tuning | None = None) -> tuple[Band, Band]:
     """The lower and upper ``uniform_band`` at the same level, sharing one
-    candidate pass; only the upper center runs the bound scan."""
+    candidate pass."""
     return _bands(("lower", "upper"), X1, X0, config, grid, step, tuning)
 
 
@@ -127,15 +127,13 @@ def _bands(orientations: tuple[str, ...], X1: Sample, X0: Sample, config: Bootst
     F1, F0 = ecdf_build(X1), ecdf_build(X0)
     grid = _resolve_grid(grid, step, X0, (X1,))
     structure = MakarovStructure(F1, F0, grid, tuning.a_n, orientations, config.threads)
-    # centers first: a scan after a bootstrap would top its heap (peak RSS)
-    centers = [structure.bound(o) for o in orientations]
-    return tuple(_band(o, X1, X0, structure, c, config, tuning)
-                 for o, c in zip(orientations, centers))
+    return tuple(_band(o, X1, X0, structure, config, tuning) for o in orientations)
 
 
 def _band(which: str, X1: Sample, X0: Sample, structure: MakarovStructure,
-          center: np.ndarray, config: BootstrapConfig, tuning: Tuning) -> Band:
-    """Bootstrap band around the plug-in bound ``center`` on ``structure``."""
+          config: BootstrapConfig, tuning: Tuning) -> Band:
+    """Bootstrap band around the structure's plug-in bound."""
+    center = structure.bound(which)
     sets = eps_argmax(structure.near_argmax(which), tuning)
     # one replicate per call: bench/traced.py counts one per replicate_stat call
     problem = _BootstrapProblem((X1, X0), [(structure, which, 0, 1)],
@@ -199,7 +197,7 @@ def dominance_test(X0: Sample, XA: Sample, XB: Sample,
         orientA, orientB, integrand_sign = "upper", "lower", -1.0
     sA = MakarovStructure(FA, F0, grid, tuning.a_n, (orientA,), config.threads)
     sB = MakarovStructure(FB, F0, grid, tuning.a_n, (orientB,), config.threads)
-    lv, rv = sA.bound(orientA), sB.bound(orientB)  # one is "upper": one scan
+    lv, rv = sA.bound(orientA), sB.bound(orientB)
     gap = lv - rv
     left = ValueFunction(grid=grid, values=lv)
     right = ValueFunction(grid=grid, values=rv)

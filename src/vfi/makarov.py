@@ -40,6 +40,7 @@ __all__ = [
 DEFAULT_GRID_POINTS = 512
 MAX_GRID_POINTS = 1_000_000
 MAX_ARGMAX_CELLS = 16_000_000
+MIN_SLACK = 1e-12  # far above the few-ulp gap between the scan's two combine forms
 _CHUNK = 65_536  # cap on the cells of one chunk's work arrays: 512 KiB per float64 array
 _STRIDE = 64  # control jumps per block of the bound scan's coarse pass
 ORIENTATIONS = ("lower", "upper")
@@ -50,7 +51,8 @@ class GridBudgetError(ValueError):
 
 
 class ArgmaxBudgetError(ValueError):
-    """A slack would keep more than MAX_ARGMAX_CELLS near-argmax cells."""
+    """A slack outside what a ``MakarovStructure`` takes: below MIN_SLACK,
+    or keeping more than MAX_ARGMAX_CELLS near-argmax cells."""
 
 
 @dataclass(frozen=True)
@@ -272,9 +274,8 @@ class MakarovStructure:
     Bootstrap directions jump at the same event points, so any reweighting
     of the same observations is evaluated exactly through the kept index
     pairs, through which ``directions`` reads the bootstrap directions.
-    ``bound`` gives a kept orientation's clipped plug-in bound: the clipped
-    row maxima for "lower" (``lower_bound``, bit for bit), one ``upper_bound``
-    scan for "upper" (1 minus the row maxima can differ in the last bit).
+    ``bound`` reads a kept orientation's clipped plug-in bound from its kept
+    cells, so no bound scan runs.
     """
 
     def __init__(self, F1: StepCDF, F0: StepCDF, grid: Grid, a_n: float,
@@ -282,10 +283,9 @@ class MakarovStructure:
         unknown = set(orientations) - set(ORIENTATIONS)
         if unknown:
             raise ValueError(f"unknown orientation {unknown.pop()!r}")
-        if not 0.0 <= a_n < np.inf:
-            raise ValueError(f"slack a_n={a_n!r} must be finite and nonnegative")
+        if not MIN_SLACK <= a_n < np.inf:
+            raise ArgmaxBudgetError(f"slack a_n={a_n!r} must be finite and at least {MIN_SLACK!r}")
         self.grid = grid
-        self.F1, self.F0 = F1, F0
         self.c1, self.c0 = F1.cum0, F0.cum0
         j1, j0 = F1.jump_points, F0.jump_points
         M = j1.size + j0.size
@@ -339,11 +339,18 @@ class MakarovStructure:
         return self._kept[orientation][1]
 
     def bound(self, orientation: str) -> np.ndarray:
-        """The clipped plug-in bound of a kept orientation on the grid."""
-        near = self.near_argmax(orientation)  # a KeyError if not kept
+        """The clipped plug-in bound of a kept orientation on the grid, bit
+        for bit that of ``lower_bound`` or ``upper_bound``: for "lower" the
+        clipped row maxima; for "upper" the clipped row minima over the kept
+        cells of (1 - c0[ib]) + c1[ia], the scan's min-side form, since 1
+        minus the row maxima can differ in the last bit.  That form's row
+        minimum is at a candidate within a few ulps of the objective's row
+        minimum, so any slack of at least MIN_SLACK keeps it."""
+        near, (ia, ib) = self._kept[orientation]  # a KeyError if not kept
         if orientation == "lower":
             return np.clip(near.row_max, 0.0, 1.0)
-        return upper_bound(self.F1, self.F0, self.grid).values
+        starts = np.cumsum(near.counts) - near.counts  # every row keeps a cell
+        return np.clip(np.minimum.reduceat((1.0 - self.c0[ib]) + self.c1[ia], starts), 0.0, 1.0)
 
     def directions(self, orientation: str, d1: np.ndarray, d0: np.ndarray, r_n: float):
         """Bootstrap directions r_n(G* - G) of one orientation's objective
@@ -418,38 +425,44 @@ def support_bounds(X1: Sample, X0: Sample) -> SupportInfo:
 
 
 def default_grid(support: SupportInfo, step: float | None = None) -> Grid:
-    """Uniform grid covering the global range, padded one step each side.
+    """``_range_grid`` over the global range of ``support``."""
+    return _range_grid(*support.global_range, step)
+
+
+def _range_grid(lo: float, hi: float, step: float | None) -> Grid:
+    """Uniform grid covering [lo, hi], padded one step each side, with
+    spacing ``step`` (by default the range over DEFAULT_GRID_POINTS).
 
     Raises GridBudgetError, before allocating, when the grid would have more
-    than MAX_GRID_POINTS points."""
-    lo, hi = support.global_range
+    than MAX_GRID_POINTS points, and ValueError naming the step and range
+    when the points would not be finite and strictly increasing: a step
+    below the float spacing in the range (a default step can underflow to
+    0), or a padded end past the float range."""
     if not np.isfinite(hi - lo):
         raise ValueError(f"effect range [{lo!r}, {hi!r}] is too wide to grid: "
                          "its width is not a finite float")
     if step is None:
         step = (hi - lo) / DEFAULT_GRID_POINTS if hi > lo else 1.0
+    over = f"grid step {step!r} over effect range [{lo!r}, {hi!r}]"
     if not (0 < step < np.inf):
-        raise ValueError("grid step must be positive and finite")
+        raise ValueError(f"{over} must be positive and finite")
     steps = (hi - lo) / step
     # capped before int(), which fails on an infinite count
     n_inner = int(np.ceil(steps - 1e-12)) if steps < MAX_GRID_POINTS else MAX_GRID_POINTS
     if n_inner + 3 > MAX_GRID_POINTS:
-        raise GridBudgetError(
-            f"grid step {step!r} over [{lo!r}, {hi!r}] gives more than "
-            f"{MAX_GRID_POINTS} grid points, the limit")
-    points = lo + step * np.arange(-1, n_inner + 2)
+        raise GridBudgetError(f"{over} gives more than {MAX_GRID_POINTS} grid points, the limit")
+    with np.errstate(over="ignore"):  # a point past the float range is inf, refused below
+        points = lo + step * np.arange(-1, n_inner + 2)
+    if not (np.isfinite(points).all() and (np.diff(points) > 0).all()):
+        raise ValueError(f"{over} gives points that are not finite and strictly increasing")
     return Grid(points=points, step=float(step))
 
 
 def _sample_grid(X0: Sample, treated, step: float | None) -> Grid:
-    """``default_grid`` over the range of x1 - x0 for x1 in any of the
-    ``treated`` samples and x0 in X0, from the sample extremes alone: the
-    grid reads only the global range, so the quantile-gap supports of
-    ``support_bounds`` are not computed; each is set to the range, which
-    holds it."""
-    lo = min(X.min for X in treated) - X0.max
-    hi = max(X.max for X in treated) - X0.min
-    return default_grid(SupportInfo((lo, hi), (lo, hi), (lo, hi)), step)
+    """``_range_grid`` over the range of x1 - x0 for x1 in any of the
+    ``treated`` samples and x0 in X0, from the sample extremes alone."""
+    return _range_grid(min(X.min for X in treated) - X0.max,
+                       max(X.max for X in treated) - X0.min, step)
 
 
 def _resolve_grid(grid: Grid | None, step: float | None, X0: Sample, treated) -> Grid:

@@ -51,14 +51,12 @@ class Grid:
 class GriddedObjective:
     """Objective f(u, x) as a (grid, candidates) matrix.
 
-    ``values[k, c]`` is f at candidate c of grid point k; ``u`` holds the
-    candidate arguments (may be None when candidates are purely positional);
-    ``valid`` masks padding for ragged candidate sets (None means all valid).
+    ``values[k, c]`` is f at candidate c of grid point k; ``valid`` masks
+    padding for ragged candidate sets (None means all valid).
     """
 
     grid: Grid
     values: np.ndarray
-    u: np.ndarray | None = None
     valid: np.ndarray | None = None
 
     def __post_init__(self):
@@ -79,23 +77,21 @@ class GriddedObjective:
 
     @classmethod
     def from_candidates(cls, grid: Grid, candidates) -> "GriddedObjective":
-        """Build from a per-grid-point list of (u, value) pairs (ragged)."""
+        """Build from a per-grid-point list of (u, value) pairs (ragged); the
+        arguments u are not kept."""
         if len(candidates) != len(grid):
             raise ValueError("need one candidate list per grid point")
         width = max((len(c) for c in candidates), default=0)
         if width == 0 or any(len(c) == 0 for c in candidates):
             k = next(i for i, c in enumerate(candidates) if len(c) == 0)
             raise ValueError(f"empty candidate set at grid point x={float(grid.points[k])!r}")
-        values = np.full((len(grid), width), -np.inf)
-        us = np.full((len(grid), width), np.nan)
+        values = np.zeros((len(grid), width))  # 0.0 placeholders, masked out
         valid = np.zeros((len(grid), width), dtype=bool)
         for k, cand in enumerate(candidates):
-            for c, (u, val) in enumerate(cand):
-                us[k, c] = u
+            for c, (_, val) in enumerate(cand):
                 values[k, c] = val
                 valid[k, c] = True
-        values[~valid] = 0.0  # placeholder, masked out
-        return cls(grid=grid, values=values, u=us, valid=valid)
+        return cls(grid=grid, values=values, valid=valid)
 
     def masked_values(self, fill: float) -> np.ndarray:
         if self.valid is None:
@@ -157,4 +153,4 @@ class NearArgmax:
 
 def negate(f: GriddedObjective) -> GriddedObjective:
     """Pointwise negation of candidate values; inf f = -psi(negate(f))."""
-    return GriddedObjective(grid=f.grid, values=-f.values, u=f.u, valid=f.valid)
+    return GriddedObjective(grid=f.grid, values=-f.values, valid=f.valid)

@@ -278,6 +278,31 @@ class TestErrors:
         err = capsys.readouterr().err
         assert rc == 2 and "5000 near-argmax candidate cells" in err
 
+    def test_slack_below_the_floor_exit_2(self, data, capsys):
+        # a_n = 1e-12 * log(log(60)) / sqrt(60), about 1.8e-13
+        for args in (["band", "--treated", data["treated"], "--control", data["control"]],
+                     ["dominance-test", "--control", data["control"],
+                      "--treatment-a", data["treated"], "--treatment-b", data["b"]]):
+            rc = run_cli(args + ["--an-const", "1e-12", "--R", "9"])
+            err = capsys.readouterr().err
+            assert rc == 2 and "a_n=" in err and f"at least {makarov.MIN_SLACK!r}" in err, args
+
+    @pytest.mark.parametrize("treated, control, effect_range", [
+        ("5e-324,1e-323", "0,5e-324", "[0.0, 1e-323]"),  # the default step underflows to 0
+        ("1,1.0000000000000002", "0", "[1.0, 1.0000000000000002]"),  # below the float spacing
+        ("0,1.797e308", "0", "[0.0, 1.797e+308]"),  # the padded end overflows
+    ])
+    def test_range_without_a_default_grid_exit_1(self, tmp_path, treated, control, effect_range):
+        paths = []
+        for arm, values in (("treated", treated), ("control", control)):
+            p = tmp_path / f"{arm}.csv"
+            p.write_text(values.replace(",", "\n") + "\n")
+            paths.append(str(p))
+        r = run("bounds", "--treated", paths[0], "--control", paths[1],
+                env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
+        assert r.returncode == 1 and r.stderr.count("\n") == 1, r.stderr
+        assert f"effect range {effect_range}" in r.stderr
+
     def test_non_finite_range_exit_1(self, data, tmp_path):
         p = tmp_path / "huge.csv"
         p.write_text("1e308\n-1e308\n0.5\n")

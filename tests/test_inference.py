@@ -224,24 +224,23 @@ class TestCdfBand:
                             counted(MakarovStructure, "structure"))
         cfg = BootstrapConfig(R=49, seed=10, alpha=0.025)
         pair = bound_bands(X1, X0, config=cfg, step=0.1)
-        assert sorted(calls) == ["scan", "structure"]
+        assert calls == ["structure"]
         for got, want in zip(pair, (lo_band, hi_band)):
             assert got.grid.same_as(want.grid)
             for field in ("lo", "hi", "center"):
                 assert_array_equal(getattr(got, field), getattr(want, field))
             assert_array_equal(got.run.replicates, want.run.replicates)
             assert (got.c_star, got.alpha, got.r_n) == (want.c_star, want.alpha, want.r_n)
-        # the lower center is the candidate pass's clipped row maxima: no
-        # scan; the upper center and a dominance test's one "upper" pair
-        # run one each
+        # both centers and both dominance bounds are read from the kept
+        # cells: no band or test runs a scan
         cfg = BootstrapConfig(R=9, seed=10)
-        for run, scans in ((partial(uniform_band, "lower", X1, X0), 0),
-                           (partial(uniform_band, "upper", X1, X0), 1),
-                           (partial(dominance_test, X0, X1, X0, orientation="necessary"), 1),
-                           (partial(dominance_test, X0, X1, X0, orientation="sufficient"), 1)):
+        for run in (partial(uniform_band, "lower", X1, X0),
+                    partial(uniform_band, "upper", X1, X0),
+                    partial(dominance_test, X0, X1, X0, orientation="necessary"),
+                    partial(dominance_test, X0, X1, X0, orientation="sufficient")):
             calls.clear()
             run(config=cfg, step=0.2)
-            assert calls.count("scan") == scans, run
+            assert "scan" not in calls, run
 
     def test_alpha_mismatch_rejected(self):
         X1, X0 = normal_samples(9)

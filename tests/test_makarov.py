@@ -10,6 +10,7 @@ from vfi import makarov
 from vfi.derivative import Tuning
 from vfi.empirical import Sample, ecdf_build
 from vfi.makarov import (
+    MIN_SLACK,
     ORIENTATIONS,
     ArgmaxBudgetError,
     GridBudgetError,
@@ -501,7 +502,40 @@ class TestWorkingMemory:
         assert peak < WORK_BOUND, f"{peak / 2**20:.2f} MiB"
 
 
+@st.composite
+def upper_bound_cases(draw):
+    """(F1, F0, default grid) of 1 to 60 points per arm: normal, heavy ties
+    on the 0.1 lattice, points 1 ulp apart near 1.0, and a treated sample
+    far from the control."""
+    n1, n0 = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["normal", "lattice", "ulp", "far"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ulp":
+        x1, x0 = (1.0 + rng.integers(0, 8, n) * np.spacing(1.0) for n in (n1, n0))
+    else:
+        x1, x0 = rng.normal(0.3, 1.0, n1), rng.normal(0.0, 1.0, n0)
+        if kind == "lattice":
+            x1, x0 = np.round(x1, 1), np.round(x0, 1)
+        elif kind == "far":
+            x1 += 1e6
+    X1, X0 = Sample(x1), Sample(x0)
+    return ecdf_build(X1), ecdf_build(X0), default_grid(support_bounds(X1, X0))
+
+
 class TestStructure:
+    @given(upper_bound_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_upper_bound_from_kept_cells_is_the_scans(self, case):
+        # the row minima of the scan's min-side form over the kept cells,
+        # bit for bit and sign of zero included, at the tuning's slack and
+        # at the floor
+        F1, F0, grid = case
+        want = upper_bound(F1, F0, grid).values
+        n = F1.jump_points.size + F0.jump_points.size
+        for a_n in (Tuning(n=max(n, 16)).a_n, MIN_SLACK):
+            got = MakarovStructure(F1, F0, grid, a_n, ("upper",)).bound("upper")
+            assert got.tobytes() == want.tobytes(), a_n
+
     def test_psi_of_structure_equals_direct_bounds(self):
         rng = np.random.default_rng(9)
         for _ in range(40):
@@ -586,6 +620,14 @@ class TestStructure:
         F1, F0, grid = ulp_spaced_case()
         with pytest.raises(ValueError, match="a_n"):
             MakarovStructure(F1, F0, grid, a_n)
+
+    @pytest.mark.parametrize("a_n", [0.0, float(np.nextafter(MIN_SLACK, 0.0))])
+    def test_slack_below_the_floor_is_refused(self, a_n):
+        # below it the "upper" bound's row minimum could miss the kept cells
+        F1, F0, grid = ulp_spaced_case()
+        with pytest.raises(ArgmaxBudgetError, match="a_n"):
+            MakarovStructure(F1, F0, grid, a_n)
+        MakarovStructure(F1, F0, grid, MIN_SLACK)
 
     def test_objective_rejects_unknown_orientation(self):
         X1, X0 = random_pair(np.random.default_rng(11))

@@ -19,7 +19,7 @@ from vfi.inference import (
     uniform_band,
 )
 from vfi import bootstrap, inference, makarov
-from vfi.makarov import default_grid, lower_bound, support_bounds, upper_bound
+from vfi.makarov import MIN_SLACK, default_grid, lower_bound, support_bounds, upper_bound
 from vfi.valuemap import Grid
 
 from dense_reference import DenseStructure, assert_streamed_matches_dense
@@ -278,6 +278,6 @@ def test_streamed_cells_match_dense(ties, rows, monkeypatch):
     assert rows == 1 or len(grid) % rows, "the last chunk should be short"
     width = F1.jump_points.size + F0.jump_points.size + 1  # M + 1 cells a grid row
     monkeypatch.setattr(makarov, "_CHUNK", rows * width)
-    for a_n in (0.0, Tuning(n=len(X1) + len(X0)).a_n, 0.3):
+    for a_n in (MIN_SLACK, Tuning(n=len(X1) + len(X0)).a_n, 0.3):
         assert_streamed_matches_dense(F1, F0, grid, a_n)
         assert_streamed_matches_dense(F1, F0, grid, a_n, ("upper",))
