@@ -19,7 +19,7 @@ if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .empirical import Sample, StepCDF, ecdf_build, load_sample_csv, weighted_ecdf
-from .valuemap import Grid, GriddedObjective, ValueFunction, negate, psi
+from .valuemap import Grid, GriddedObjective, ValueFunction, psi
 from .makarov import (
     BoundPair,
     SupportInfo,

@@ -63,10 +63,6 @@ class BootstrapRun:
     critical_value: float
     config: BootstrapConfig
 
-    @property
-    def R(self) -> int:
-        return self.replicates.size
-
 
 def _mix(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer of every word of a 1-D uint64 array, in wrapping

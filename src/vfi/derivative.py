@@ -108,8 +108,7 @@ def eps_argmax(f, tuning: Tuning) -> ArgmaxSets:
     if fallback:
         contact = np.ones(len(near.grid), dtype=bool)
     return ArgmaxSets(
-        grid=near.grid, width=near.width, cells=near.cells,
-        starts=np.concatenate(([0], np.cumsum(near.counts)[:-1])),
+        grid=near.grid, width=near.width, cells=near.cells, starts=near.starts,
         joint=joint, contact=contact, contact_fallback=fallback,
     )
 

@@ -76,7 +76,7 @@ class StepCDF:
         cp = np.asarray(self.cum_probs, dtype=float)
         if jp.size == 0 or jp.shape != cp.shape:
             raise ValueError("jump_points and cum_probs must be nonempty and congruent")
-        if jp.size > 1 and not np.all(np.diff(jp) > 0):
+        if not np.all(jp[1:] > jp[:-1]):
             raise ValueError("jump_points must be strictly increasing")
         if cp.size > 1 and np.any(np.diff(cp) <= 0):
             raise ValueError("cum_probs must be strictly increasing")

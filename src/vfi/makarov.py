@@ -117,6 +117,17 @@ def _ranks(j1: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lt, np.equal(j1.take(lt, mode="clip"), rows)
 
 
+def _shifted(j0: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Control jumps ``j0`` shifted into u-space, j0 + x, for the grid
+    points ``xs`` (broadcast).  A sum past the float range is +-inf, which
+    orders against every finite treated jump as the exact sum would; shifts
+    that overflow together form a tie run, as shifts that round together
+    do, and both readers of the shifts (``_scan``, ``_index_pairs``) take
+    tie runs.  So the overflow is no error, and it raises no warning."""
+    with np.errstate(over="ignore"):
+        return j0 + xs
+
+
 def _blocks(a: np.ndarray) -> np.ndarray:
     """``a`` as a (blocks, _STRIDE) array, the last block padded with a's
     last entry."""
@@ -177,7 +188,7 @@ def _scan(F1: StepCDF, F0: StepCDF, grid: Grid) -> tuple[np.ndarray, np.ndarray]
     nb = jumps.shape[0]
     for s in _chunks(grid, keys.size):
         xs = grid.points[s]
-        lt, ties = _ranks(j1, keys + xs[:, None])
+        lt, ties = _ranks(j1, _shifted(keys, xs[:, None]))
         top = c1.take(lt)
         cap = top[:, 1:] - before[:, 0]  # max-side bound of each block
         top -= key_before
@@ -190,7 +201,7 @@ def _scan(F1: StepCDF, F0: StepCDF, grid: Grid) -> tuple[np.ndarray, np.ndarray]
         del lt, ties, cap, floor  # freed before the fine slices, which hold the budget again
         for f in range(0, ranked.size, pairs):
             row, block = np.divmod(ranked[f:f + pairs], nb)
-            lt, ties = _ranks(j1, jumps[block] + xs[row, None])
+            lt, ties = _ranks(j1, _shifted(jumps[block], xs[row, None]))
             hi = (c1.take(lt) - before[block]).max(axis=1)
             lt += ties
             lo = (c1.take(lt) + after[block]).min(axis=1)
@@ -239,7 +250,7 @@ def _index_pairs(j1: np.ndarray, j0: np.ndarray, xs: np.ndarray) -> tuple[np.nda
     # compared in u-space, where the control jumps sit at row = j0 + x;
     # row is non-decreasing (j0 is increasing and rounding monotone),
     # so its ties come only from rounding in the shift
-    rows = j0[None, :] + xs[:, None]
+    rows = _shifted(j0, xs[:, None])
     lt_j, ties = _ranks(j1, rows)
     np.add(lt_j, ties, out=ia[:, n1:M])
     # #row <= row[p] is one past the end of p's run of equal values,
@@ -302,10 +313,8 @@ class MakarovStructure:
                 if o == "upper":
                     np.negative(values, out=values)
                 top = row_max[o][s] = values.max(axis=1)
-                keep = values >= (top - a_n)[:, None]
-                pos = np.flatnonzero(keep)
-                out.append((pos + s.start * width, keep.sum(axis=1),
-                            values.take(pos), ia.take(pos), ib.take(pos)))
+                pos = np.flatnonzero(values >= (top - a_n)[:, None])
+                out.append((pos + s.start * width, values.take(pos), ia.take(pos), ib.take(pos)))
             return out
 
         parts = {o: [] for o in wanted}
@@ -324,9 +333,9 @@ class MakarovStructure:
             # joined one field at a time, each field's chunk parts dropped as
             # it goes, so the kept cells are never held twice
             fields = list(zip(*parts.pop(o)))
-            cells, counts, vals, ia, ib = (np.concatenate(fields.pop(0)) for _ in range(5))
+            cells, vals, ia, ib = (np.concatenate(fields.pop(0)) for _ in range(4))
             near = NearArgmax(grid=grid, width=width, slack=a_n, row_max=row_max[o],
-                              cells=cells, counts=counts, values=vals)
+                              cells=cells, values=vals)
             self._kept[o] = (near, (ia, ib))
 
     def near_argmax(self, orientation: str) -> NearArgmax:
@@ -349,8 +358,9 @@ class MakarovStructure:
         near, (ia, ib) = self._kept[orientation]  # a KeyError if not kept
         if orientation == "lower":
             return np.clip(near.row_max, 0.0, 1.0)
-        starts = np.cumsum(near.counts) - near.counts  # every row keeps a cell
-        return np.clip(np.minimum.reduceat((1.0 - self.c0[ib]) + self.c1[ia], starts), 0.0, 1.0)
+        # every row keeps a cell, so near.starts splits the cells into rows
+        low = np.minimum.reduceat((1.0 - self.c0[ib]) + self.c1[ia], near.starts)
+        return np.clip(low, 0.0, 1.0, out=low)
 
     def directions(self, orientation: str, d1: np.ndarray, d0: np.ndarray, r_n: float):
         """Bootstrap directions r_n(G* - G) of one orientation's objective
@@ -394,15 +404,17 @@ def quantile_bounds(F1: StepCDF, F0: StepCDF, taus) -> tuple[np.ndarray, np.ndar
     b0 = F0.cum_probs
     lower_q = np.empty(taus.size)
     upper_q = np.empty(taus.size)
-    for k, tau in enumerate(taus):
-        # sup over (0, tau) of Q1(u) - Q0(u + 1 - tau)
-        cands = np.concatenate((b1, b0 - (1.0 - tau), [eps, tau - eps]))
-        cands = cands[(cands > 0.0) & (cands < tau)]
-        lower_q[k] = np.max(F1.quantile(cands) - F0.quantile(cands + (1.0 - tau)))
-        # inf over (tau, 1) of Q1(u) - Q0(u - tau)
-        cands = np.concatenate((b1, b0 + tau, [tau + eps, 1.0 - eps]))
-        cands = cands[(cands > tau) & (cands < 1.0)]
-        upper_q[k] = np.min(F1.quantile(cands) - F0.quantile(cands - tau))
+    # only Q1 - Q0 can pass the float range, and it then reads +-inf
+    with np.errstate(over="ignore"):
+        for k, tau in enumerate(taus):
+            # sup over (0, tau) of Q1(u) - Q0(u + 1 - tau)
+            cands = np.concatenate((b1, b0 - (1.0 - tau), [eps, tau - eps]))
+            cands = cands[(cands > 0.0) & (cands < tau)]
+            lower_q[k] = np.max(F1.quantile(cands) - F0.quantile(cands + (1.0 - tau)))
+            # inf over (tau, 1) of Q1(u) - Q0(u - tau)
+            cands = np.concatenate((b1, b0 + tau, [tau + eps, 1.0 - eps]))
+            cands = cands[(cands > tau) & (cands < 1.0)]
+            upper_q[k] = np.min(F1.quantile(cands) - F0.quantile(cands - tau))
     return lower_q, upper_q
 
 
@@ -453,7 +465,7 @@ def _range_grid(lo: float, hi: float, step: float | None) -> Grid:
         raise GridBudgetError(f"{over} gives more than {MAX_GRID_POINTS} grid points, the limit")
     with np.errstate(over="ignore"):  # a point past the float range is inf, refused below
         points = lo + step * np.arange(-1, n_inner + 2)
-    if not (np.isfinite(points).all() and (np.diff(points) > 0).all()):
+    if not (np.isfinite(points).all() and (points[1:] > points[:-1]).all()):
         raise ValueError(f"{over} gives points that are not finite and strictly increasing")
     return Grid(points=points, step=float(step))
 

@@ -58,7 +58,6 @@ class PowerCurve:
     deltas: np.ndarray
     reject_rate: np.ndarray
     se: np.ndarray
-    config: ExperimentConfig = field(repr=False, default=None)
 
 
 def _normal_lower_bound(x: np.ndarray) -> np.ndarray:
@@ -79,7 +78,7 @@ def _collect(config: ExperimentConfig, one_rep) -> PowerCurve:
     hits = [sum(one_rep(d, i, m) for m in range(config.reps)) for i, d in enumerate(deltas)]
     rates = np.asarray(hits) / config.reps
     se = np.sqrt(rates * (1.0 - rates) / config.reps)
-    return PowerCurve(deltas=deltas, reject_rate=rates, se=se, config=config)
+    return PowerCurve(deltas=deltas, reject_rate=rates, se=se)
 
 
 def run_normal_location(config: ExperimentConfig) -> PowerCurve:

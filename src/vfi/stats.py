@@ -31,7 +31,6 @@ class StatKind:
 @dataclass(frozen=True)
 class StatValue:
     value: float
-    kind: StatKind
 
     def __post_init__(self):
         if not (self.value >= 0):
@@ -53,7 +52,7 @@ def lambda_stat(f: GriddedObjective, kind: StatKind) -> StatValue:
         val = _lp(np.abs(v), f.grid.rect_weights(), kind.p)
     else:
         val = _lp(np.maximum(v, 0.0), f.grid.rect_weights(), kind.p)
-    return StatValue(value=val, kind=kind)
+    return StatValue(value=val)
 
 
 def ks_band_stat(Lhat: ValueFunction, L0: ValueFunction, r_n: float) -> StatValue:
@@ -61,7 +60,7 @@ def ks_band_stat(Lhat: ValueFunction, L0: ValueFunction, r_n: float) -> StatValu
     if not Lhat.grid.same_as(L0.grid):
         raise ValueError("value functions live on different grids")
     val = r_n * float(np.max(np.abs(Lhat.values - L0.values)))
-    return StatValue(value=val, kind=StatKind(j=1))
+    return StatValue(value=val)
 
 
 def dominance_stat(LA: ValueFunction, UB: ValueFunction, r_n: float) -> StatValue:
@@ -74,4 +73,4 @@ def dominance_stat(LA: ValueFunction, UB: ValueFunction, r_n: float) -> StatValu
         raise ValueError("value functions live on different grids")
     gap = np.maximum(LA.values - UB.values, 0.0)
     val = r_n * _lp(gap, LA.grid.rect_weights(), 2.0)
-    return StatValue(value=val, kind=StatKind(j=4, p=2.0))
+    return StatValue(value=val)

@@ -57,7 +57,7 @@ def assert_streamed_matches_dense(F1, F0, grid, a_n, orientations=("lower", "upp
         want = NearArgmax.of(dense.objective(o), a_n)
         got = streamed.near_argmax(o)
         assert got.width == want.width and got.slack == want.slack
-        for field in ("cells", "counts", "values", "row_max"):
+        for field in ("cells", "starts", "values", "row_max"):
             assert_array_equal(getattr(got, field), getattr(want, field), err_msg=f"{o} {field}")
         ia, ib = streamed.cell_indices(o)
         assert_array_equal(ia, dense.ia.ravel()[want.cells], err_msg=f"{o} ia")

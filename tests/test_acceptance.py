@@ -3,6 +3,7 @@ the pinned tolerance for each.  These are end-to-end checks against
 independent oracles, closed forms, and Monte Carlo error bands."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -224,12 +225,13 @@ def test_c09_cli_determinism(tmp_path):
                      "--deltas", "0", "--seed", "3"],
     }
     threaded = {"band", "cdf-band", "dominance-test", "simulate"}
+    env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"}  # as in-process tests
     for name, argv in commands.items():
         outs = set()
         for threads in ("1", "4"):
             full = CLI + argv + (["--threads", threads] if name in threaded else [])
             for _ in range(3):
-                r = subprocess.run(full, capture_output=True, text=True)
+                r = subprocess.run(full, capture_output=True, text=True, env=env)
                 assert r.returncode == 0, (name, r.stderr)
                 outs.add(r.stdout)
         assert len(outs) == 1, f"{name} output not deterministic"

@@ -265,7 +265,7 @@ class TestDistribution:
 
     def test_single_replicate_is_critical_value(self):
         run = bootstrap_statistic_distribution(_SumProblem(), BootstrapConfig(R=1, seed=3))
-        assert run.R == 1
+        assert run.replicates.size == 1
         assert run.critical_value == run.replicates[0]
 
     def test_reproducible(self):

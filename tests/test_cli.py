@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -20,9 +21,9 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(*args, env_extra=None, **kw):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+    """The CLI in a subprocess, with RuntimeWarnings raised as errors as in
+    the in-process tests; ``env_extra`` wins over both."""
+    env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning", **(env_extra or {})}
     return subprocess.run(CLI + list(args), capture_output=True, text=True, env=env, **kw)
 
 
@@ -298,8 +299,7 @@ class TestErrors:
             p = tmp_path / f"{arm}.csv"
             p.write_text(values.replace(",", "\n") + "\n")
             paths.append(str(p))
-        r = run("bounds", "--treated", paths[0], "--control", paths[1],
-                env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
+        r = run("bounds", "--treated", paths[0], "--control", paths[1])
         assert r.returncode == 1 and r.stderr.count("\n") == 1, r.stderr
         assert f"effect range {effect_range}" in r.stderr
 
@@ -352,6 +352,64 @@ class TestErrors:
         r = run("bounds", "--treated", data["treated"], "--control", data["control"],
                 "--frobnicate")
         assert r.returncode == 2
+
+
+def _write_samples(d, **samples):
+    """One headerless CSV per keyword in directory ``d``; their paths by name."""
+    paths = {}
+    for name, values in samples.items():
+        p = d / f"{name}.csv"
+        p.write_text("".join(f"{v!r}\n" for v in values))
+        paths[name] = str(p)
+    return paths
+
+
+class TestFloatEdges:
+    """Samples at the ends of the float range; ``run`` raises any
+    RuntimeWarning as an error, so a warning fails these tests."""
+
+    @pytest.fixture(scope="class")
+    def far(self, tmp_path_factory):
+        k = range(8)
+        return _write_samples(tmp_path_factory.mktemp("far"), t=[1e308], c=[-5e307, 5e307],
+                              ft=[1e308 - i * 1e306 for i in k],
+                              fc=[-5e307 + i * 1.4e307 for i in k])
+
+    # the sha256 prefixes are the output of the code before the u-space
+    # shifts j0 + x were allowed to overflow quietly
+    @pytest.mark.parametrize("argv, digest", [
+        ("bounds --treated t --control c", "9339437de7f8f73c"),
+        ("bounds --treated ft --control fc", "7b3f7362fd80db7d"),
+        ("band --treated ft --control fc --R 9 --threads 1", "7a3211b5c91fb393"),
+        ("cdf-band --treated ft --control fc --R 9 --threads 1 --format csv", "b84d533533977d19"),
+        ("dominance-test --R 9 --threads 1 --control fc --treatment-a ft --treatment-b ft",
+         "9c26eb9327b7270d"),
+    ])
+    def test_shifts_past_the_float_range(self, far, argv, digest):
+        r = run(*(far.get(a, a) for a in argv.split()))
+        assert r.returncode == 0 and r.stderr == "", r.stderr
+        assert hashlib.sha256(r.stdout.encode()).hexdigest()[:16] == digest
+
+    @pytest.fixture(scope="class")
+    def extremes(self, tmp_path_factory):
+        return _write_samples(tmp_path_factory.mktemp("extremes"),
+                              wide=[-1.7e308, 1.7e308], unit=[0.0, 1.0],
+                              top=[1.7e308, 1.6e308], bottom=[-1.7e308, -1.6e308])
+
+    def test_sample_spanning_the_float_range(self, extremes):
+        # its own width overflows, but not its order check
+        r = run("bounds", "--treated", extremes["wide"], "--control", extremes["unit"])
+        assert r.returncode == 1 and r.stderr.count("\n") == 1, r.stderr
+        assert "too wide to grid" in r.stderr
+        r = run("quantile-bounds", "--treated", extremes["wide"], "--control", extremes["unit"],
+                "--taus", "0.5")
+        assert (r.returncode, r.stderr) == (0, ""), r.stderr
+        assert r.stdout == "tau,lower,upper\n0.5,-1.7e+308,1.7e+308\n"
+
+    def test_quantile_difference_past_the_float_range_is_inf(self, extremes):
+        r = run("quantile-bounds", "--treated", extremes["top"], "--control", extremes["bottom"],
+                "--taus", "0.5")
+        assert (r.returncode, r.stdout, r.stderr) == (0, "tau,lower,upper\n0.5,inf,inf\n", "")
 
 
 class TestEnvPrecedence:

@@ -192,15 +192,11 @@ class TestDerivativeEstimate:
                 assert d <= C * gap + 1e-12
 
     def test_cells_match_dense_masks(self):
-        # h on sets.cells and the masked dense reductions give the same
-        # bits, ragged objectives included
+        # h on sets.cells and the masked dense reductions give the same bits
         rng = np.random.default_rng(36)
         for _ in range(50):
             k, c = rng.integers(2, 8), rng.integers(2, 6)
-            valid = rng.uniform(size=(k, c)) < 0.7
-            valid[np.arange(k), rng.integers(0, c, k)] = True
-            f = GriddedObjective(grid=unit_grid(k), values=np.round(rng.normal(0, 1, (k, c)), 1),
-                                 valid=valid)
+            f = GriddedObjective(grid=unit_grid(k), values=np.round(rng.normal(0, 1, (k, c)), 1))
             sets = eps_argmax(f, FixedTuning(a_n=0.3, b_n=0.5))
             assert_array_equal(sets.cells, np.flatnonzero(sets.per_x))
             h = np.round(rng.normal(0, 1, (k, c)), 1)

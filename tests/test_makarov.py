@@ -344,7 +344,7 @@ class TestThreadedChunks:
         assert len(list(makarov._chunks(grid, pass_width(F1, F0)))) > 3
         got = MakarovStructure(F1, F0, grid, a_n=0.15, threads=threads)
         for o in ORIENTATIONS:
-            for field in ("cells", "counts", "values", "row_max"):
+            for field in ("cells", "starts", "values", "row_max"):
                 assert_array_equal(getattr(got.near_argmax(o), field),
                                    getattr(serial.near_argmax(o), field), err_msg=f"{o} {field}")
             for name, a, b in zip("ia ib".split(), got.cell_indices(o), serial.cell_indices(o)):
@@ -487,7 +487,7 @@ class TestWorkingMemory:
         kept = 0
         for o in ORIENTATIONS:
             near = s.near_argmax(o)
-            kept += sum(a.nbytes for a in (near.cells, near.counts, near.values, near.row_max,
+            kept += sum(a.nbytes for a in (near.cells, near.starts, near.values, near.row_max,
                                            *s.cell_indices(o)))
         assert peak - kept < WORK_BOUND, f"{(peak - kept) / 2**20:.2f} MiB beyond the kept cells"
 

@@ -33,7 +33,7 @@ class TestKindValidation:
 
     def test_negative_value_rejected(self):
         with pytest.raises(ValueError):
-            StatValue(value=-0.1, kind=StatKind(j=1))
+            StatValue(value=-0.1)
 
 
 class TestLambdaExamples:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from vfi.valuemap import Grid, GriddedObjective, ValueFunction, negate, psi
+from vfi.valuemap import Grid, GriddedObjective, ValueFunction, psi
 
 
 def unit_grid(k=10):
@@ -44,37 +44,14 @@ class TestPsi:
         v = psi(f)
         assert_array_equal(v.values, [3.0, 0.0, 2.0])
 
-    def test_ragged_candidates(self):
-        g = Grid(points=np.array([0.0, 1.0]), step=1.0)
-        f = GriddedObjective.from_candidates(
-            g, [[(0.0, 1.0), (0.5, 4.0), (1.0, 2.0)], [(0.0, -1.0)]]
-        )
-        assert_array_equal(psi(f).values, [4.0, -1.0])
-
-    def test_empty_candidate_row_names_grid_point(self):
-        g = Grid(points=np.array([0.0, 2.5]), step=2.5)
-        with pytest.raises(ValueError, match="x=2.5"):
-            GriddedObjective.from_candidates(g, [[(0.0, 1.0)], []])
+    def test_zero_candidate_columns_rejected(self):
+        with pytest.raises(ValueError, match="at least one candidate column"):
+            GriddedObjective(grid=unit_grid(2), values=np.zeros((2, 0)))
 
     def test_infinite_value_rejected(self):
         g = unit_grid(2)
         with pytest.raises(ValueError, match="finite"):
             GriddedObjective(grid=g, values=np.array([[np.inf], [0.0]]))
-
-    def test_negate_flips_inf_to_sup(self):
-        g = unit_grid(2)
-        vals = np.array([[1.0, -2.0], [3.0, 0.5]])
-        f = GriddedObjective(grid=g, values=vals)
-        assert_array_equal(-psi(negate(f)).values, vals.min(axis=1))
-
-    def test_masked_padding_ignored(self):
-        g = unit_grid(2)
-        f = GriddedObjective(
-            grid=g,
-            values=np.array([[1.0, 99.0], [2.0, 0.0]]),
-            valid=np.array([[True, False], [True, True]]),
-        )
-        assert_array_equal(psi(f).values, [1.0, 2.0])
 
 
 class TestValueFunction:
