@@ -25,15 +25,13 @@ from .makarov import (
     SupportInfo,
     compute_bounds,
     default_grid,
-    lower_bound,
     quantile_bounds,
     support_bounds,
-    upper_bound,
 )
 from .stats import StatKind, StatValue, dominance_stat, ks_band_stat, lambda_stat
 from .derivative import ArgmaxSets, Tuning, eps_argmax
 from .bootstrap import BootstrapConfig, BootstrapRun, bootstrap_statistic_distribution, critical_value
-from .inference import Band, TestResult, bound_bands, cdf_band, constant_effect_check, dominance_test, uniform_band
+from .inference import Band, TestResult, cdf_band, constant_effect_check, dominance_test, uniform_band
 from .simulate import ExperimentConfig, PowerCurve, run_normal_location, run_uniform_dominance
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ import numpy as np
 from .bootstrap import SCHEMES, BootstrapConfig
 from .derivative import Tuning
 from .empirical import CsvParseError, ecdf_build, load_sample_csv
-from .inference import Band, bound_bands, cdf_band, dominance_test, uniform_band
+from .inference import Band, cdf_band, dominance_test, uniform_band
 from .makarov import (
     ArgmaxBudgetError,
     GridBudgetError,
@@ -215,10 +215,9 @@ def _load_pair(args):
     return X1, X0
 
 
-def _bconfig(args, alpha=None) -> BootstrapConfig:
+def _bconfig(args) -> BootstrapConfig:
     return BootstrapConfig(R=args.R, scheme=args.scheme, seed=args.seed,
-                           alpha=alpha if alpha is not None else args.alpha,
-                           threads=args.threads)
+                           alpha=args.alpha, threads=args.threads)
 
 
 def _band_rows(band: Band) -> str:
@@ -279,10 +278,8 @@ def _cmd_band(args) -> int:
 
 def _cmd_cdf_band(args) -> int:
     X1, X0 = _load_pair(args)
-    half = args.alpha / 2.0
-    tuning = _tuning(args, len(X1) + len(X0))
-    combined = cdf_band(*bound_bands(X1, X0, config=_bconfig(args, half),
-                                     step=args.grid_step, tuning=tuning))
+    combined = cdf_band(X1, X0, config=_bconfig(args), step=args.grid_step,
+                        tuning=_tuning(args, len(X1) + len(X0)))
     if args.format == "csv":
         _write(_band_rows(combined), args.output)
     else:
@@ -323,12 +320,8 @@ def _cmd_quantile_bounds(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = ExperimentConfig(
-        n=args.n, R=args.R, reps=args.reps,
-        deltas=args.deltas,
-        alpha=args.alpha, seed=args.seed, grid_step=args.grid_step,
-        scheme=args.scheme, threads=args.threads,
-    )
+    config = ExperimentConfig(n=args.n, reps=args.reps, deltas=args.deltas,
+                              grid_step=args.grid_step, bootstrap=_bconfig(args))
     run = run_normal_location if args.experiment == "normal" else run_uniform_dominance
     curve = run(config)
     lines = ["delta,reject_rate,se"]

@@ -11,7 +11,7 @@ gives its pair's plug-in bound (``bound``) and directions (``directions``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -37,7 +37,6 @@ __all__ = [
     "Band",
     "TestResult",
     "uniform_band",
-    "bound_bands",
     "cdf_band",
     "dominance_test",
     "constant_effect_check",
@@ -112,14 +111,6 @@ def uniform_band(which: str, X1: Sample, X0: Sample,
     return _bands((which,), X1, X0, config, grid, step, tuning)[0]
 
 
-def bound_bands(X1: Sample, X0: Sample,
-                config: BootstrapConfig = BootstrapConfig(), grid: Grid | None = None,
-                step: float | None = None, tuning: Tuning | None = None) -> tuple[Band, Band]:
-    """The lower and upper ``uniform_band`` at the same level, sharing one
-    candidate pass."""
-    return _bands(("lower", "upper"), X1, X0, config, grid, step, tuning)
-
-
 def _bands(orientations: tuple[str, ...], X1: Sample, X0: Sample, config: BootstrapConfig,
            grid: Grid | None, step: float | None, tuning: Tuning | None) -> tuple[Band, ...]:
     """One band per orientation from one candidate pass on the config's threads."""
@@ -153,14 +144,17 @@ def _band(which: str, X1: Sample, X0: Sample, structure: MakarovStructure,
     )
 
 
-def cdf_band(lower_band: Band, upper_band: Band) -> Band:
-    """Conservative band for the effect CDF from two bound bands at level
-    alpha/2 each: lower limit of the lower-bound band, upper limit of the
-    upper-bound band, re-monotonized since clipping can break monotonicity."""
-    if not lower_band.grid.same_as(upper_band.grid):
-        raise ValueError("bands live on different grids")
-    if lower_band.alpha != upper_band.alpha:
-        raise ValueError("bands must share the same level")
+def cdf_band(X1: Sample, X0: Sample,
+             config: BootstrapConfig = BootstrapConfig(), grid: Grid | None = None,
+             step: float | None = None, tuning: Tuning | None = None) -> Band:
+    """Conservative band for the effect CDF at level ``config.alpha``: the
+    lower and upper bound bands at alpha/2 each, from one candidate pass,
+    combined as the lower limit of the lower-bound band and the upper limit
+    of the upper-bound band, re-monotonized since clipping can break
+    monotonicity.  ``grid``, ``step`` and ``tuning`` are as for
+    ``uniform_band``."""
+    half = replace(config, alpha=config.alpha / 2.0)
+    lower_band, upper_band = _bands(("lower", "upper"), X1, X0, half, grid, step, tuning)
     lo = np.maximum.accumulate(lower_band.lo)
     hi = np.minimum.accumulate(upper_band.hi[::-1])[::-1]
     return Band(
@@ -168,7 +162,7 @@ def cdf_band(lower_band: Band, upper_band: Band) -> Band:
         lo=lo,
         hi=hi,
         center=0.5 * (lower_band.center + upper_band.center),
-        alpha=2.0 * lower_band.alpha,
+        alpha=2.0 * lower_band.alpha,  # not config.alpha: halving a subnormal alpha rounds
         c_star=max(lower_band.c_star, upper_band.c_star),
         r_n=lower_band.r_n,
     )

@@ -28,8 +28,6 @@ __all__ = [
     "GridBudgetError",
     "SupportInfo",
     "MakarovStructure",
-    "lower_bound",
-    "upper_bound",
     "quantile_bounds",
     "support_bounds",
     "default_grid",
@@ -213,26 +211,6 @@ def _scan(F1: StepCDF, F0: StepCDF, grid: Grid) -> tuple[np.ndarray, np.ndarray]
     return lower, upper
 
 
-def _clamped(values: np.ndarray, grid: Grid) -> ValueFunction:
-    return ValueFunction(grid=grid, values=np.clip(values, 0.0, 1.0, out=values))
-
-
-def lower_bound(F1: StepCDF, F0: StepCDF, grid: Grid) -> ValueFunction:
-    """sup_u F1(u) - F0(u - x) at each grid x, clamped to [0, 1].  The
-    supremum over all of R is attained on the candidate family (or in a
-    tail, where the difference is 0)."""
-    return _clamped(_scan(F1, F0, grid)[0], grid)
-
-
-def upper_bound(F1: StepCDF, F0: StepCDF, grid: Grid) -> ValueFunction:
-    """1 + inf_u F1(u) - F0(u - x) at each grid x, clamped to [0, 1].
-
-    Candidates evaluate as (1 - F0-part) + F1-part so the degenerate case
-    (F0-part equal to 1) reproduces F1 values bit for bit.
-    """
-    return _clamped(_scan(F1, F0, grid)[1], grid)
-
-
 def _index_pairs(j1: np.ndarray, j0: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (ia, ib) of every candidate on the grid rows ``xs``, as
     two rows x (M + 1) arrays in the objective's column order: right values
@@ -349,10 +327,10 @@ class MakarovStructure:
 
     def bound(self, orientation: str) -> np.ndarray:
         """The clipped plug-in bound of a kept orientation on the grid, bit
-        for bit that of ``lower_bound`` or ``upper_bound``: for "lower" the
-        clipped row maxima; for "upper" the clipped row minima over the kept
-        cells of (1 - c0[ib]) + c1[ia], the scan's min-side form, since 1
-        minus the row maxima can differ in the last bit.  That form's row
+        for bit that of ``compute_bounds``: for "lower" the clipped row
+        maxima; for "upper" the clipped row minima over the kept cells of
+        (1 - c0[ib]) + c1[ia], the scan's min-side form, since 1 minus the
+        row maxima can differ in the last bit.  That form's row
         minimum is at a candidate within a few ulps of the objective's row
         minimum, so any slack of at least MIN_SLACK keeps it."""
         near, (ia, ib) = self._kept[orientation]  # a KeyError if not kept
@@ -388,13 +366,21 @@ class MakarovStructure:
         return out
 
 
+def _inside(cands: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The candidates inside (lo, hi), or else its midpoint: a level within
+    1e-9 of 0 or 1 can leave no breakpoint or end point inside."""
+    cands = cands[(cands > lo) & (cands < hi)]
+    return cands if cands.size else np.array([(lo + hi) / 2.0])
+
+
 def quantile_bounds(F1: StepCDF, F0: StepCDF, taus) -> tuple[np.ndarray, np.ndarray]:
     """Inverted bounds (U^{-1}(tau), L^{-1}(tau)) for the quantile function.
 
     U^{-1}(tau) = sup_{u in (0, tau)} Q1(u) - Q0(u + 1 - tau) and
     L^{-1}(tau) = inf_{u in (tau, 1)} Q1(u) - Q0(u - tau), evaluated over
     the quantile-level breakpoints of both samples inside the open interval
-    plus points 1e-9 inside each endpoint.
+    plus points 1e-9 inside each endpoint, or at its midpoint if none of
+    those is inside.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if not np.all((taus > 0.0) & (taus < 1.0)):
@@ -408,12 +394,10 @@ def quantile_bounds(F1: StepCDF, F0: StepCDF, taus) -> tuple[np.ndarray, np.ndar
     with np.errstate(over="ignore"):
         for k, tau in enumerate(taus):
             # sup over (0, tau) of Q1(u) - Q0(u + 1 - tau)
-            cands = np.concatenate((b1, b0 - (1.0 - tau), [eps, tau - eps]))
-            cands = cands[(cands > 0.0) & (cands < tau)]
+            cands = _inside(np.concatenate((b1, b0 - (1.0 - tau), [eps, tau - eps])), 0.0, tau)
             lower_q[k] = np.max(F1.quantile(cands) - F0.quantile(cands + (1.0 - tau)))
             # inf over (tau, 1) of Q1(u) - Q0(u - tau)
-            cands = np.concatenate((b1, b0 + tau, [tau + eps, 1.0 - eps]))
-            cands = cands[(cands > tau) & (cands < 1.0)]
+            cands = _inside(np.concatenate((b1, b0 + tau, [tau + eps, 1.0 - eps])), tau, 1.0)
             upper_q[k] = np.min(F1.quantile(cands) - F0.quantile(cands - tau))
     return lower_q, upper_q
 
@@ -426,7 +410,8 @@ def support_bounds(X1: Sample, X0: Sample) -> SupportInfo:
         np.concatenate((np.arange(1, n1 + 1) / n1, np.arange(1, n0 + 1) / n0))
     )
     F1, F0 = ecdf_build(X1), ecdf_build(X0)
-    qdiff = F1.quantile(levels) - F0.quantile(levels)
+    with np.errstate(over="ignore"):  # a gap past the float range reads +-inf
+        qdiff = F1.quantile(levels) - F0.quantile(levels)
     lo_all = X1.min - X0.max
     hi_all = X1.max - X0.min
     return SupportInfo(
@@ -434,11 +419,6 @@ def support_bounds(X1: Sample, X0: Sample) -> SupportInfo:
         upper_support=(lo_all, float(qdiff.max())),
         global_range=(lo_all, hi_all),
     )
-
-
-def default_grid(support: SupportInfo, step: float | None = None) -> Grid:
-    """``_range_grid`` over the global range of ``support``."""
-    return _range_grid(*support.global_range, step)
 
 
 def _range_grid(lo: float, hi: float, step: float | None) -> Grid:
@@ -470,7 +450,7 @@ def _range_grid(lo: float, hi: float, step: float | None) -> Grid:
     return Grid(points=points, step=float(step))
 
 
-def _sample_grid(X0: Sample, treated, step: float | None) -> Grid:
+def default_grid(X0: Sample, treated, step: float | None = None) -> Grid:
     """``_range_grid`` over the range of x1 - x0 for x1 in any of the
     ``treated`` samples and x0 in X0, from the sample extremes alone."""
     return _range_grid(min(X.min for X in treated) - X0.max,
@@ -478,10 +458,10 @@ def _sample_grid(X0: Sample, treated, step: float | None) -> Grid:
 
 
 def _resolve_grid(grid: Grid | None, step: float | None, X0: Sample, treated) -> Grid:
-    """``grid``, or else ``_sample_grid`` with spacing ``step``; a step
+    """``grid``, or else ``default_grid`` with spacing ``step``; a step
     given with a grid would be dropped, so giving both is an error."""
     if grid is None:
-        return _sample_grid(X0, treated, step)
+        return default_grid(X0, treated, step)
     if step is not None:
         raise ValueError("give grid or step, not both")
     return grid
@@ -489,15 +469,19 @@ def _resolve_grid(grid: Grid | None, step: float | None, X0: Sample, treated) ->
 
 def compute_bounds(X1: Sample, X0: Sample, grid: Grid | None = None,
                    step: float | None = None) -> BoundPair:
-    """Plug-in lower and upper bounds on ``grid`` (by default the padded
-    ``default_grid`` with spacing ``step``; not both).  The bound scan runs
-    on one thread: its chunks are small (about _CHUNK cells, as 41 grid
-    rows of 1,564 keys, one per _STRIDE control jumps, at n = 1e5 per arm),
-    and a second thread did not speed it up on two cores."""
+    """Plug-in bounds on ``grid`` (by default the padded ``default_grid``
+    with spacing ``step``; not both), each clamped to [0, 1]: the lower
+    bound sup_u F1(u) - F0(u - x) and the upper bound 1 + inf_u F1(u) -
+    F0(u - x), whose candidates evaluate as (1 - F0-part) + F1-part so the
+    degenerate case (F0-part equal to 1) reproduces F1 values bit for bit.
+    The bound scan runs on one thread: its chunks are small (about _CHUNK
+    cells, as 41 grid rows of 1,564 keys, one per _STRIDE control jumps, at
+    n = 1e5 per arm), and a second thread did not speed it up on two cores."""
     F1, F0 = ecdf_build(X1), ecdf_build(X0)
     grid = _resolve_grid(grid, step, X0, (X1,))
-    lower, upper = _scan(F1, F0, grid)
-    return BoundPair(lower=_clamped(lower, grid), upper=_clamped(upper, grid), grid=grid)
+    lower, upper = (ValueFunction(grid=grid, values=np.clip(v, 0.0, 1.0, out=v))
+                    for v in _scan(F1, F0, grid))
+    return BoundPair(lower=lower, upper=upper, grid=grid)
 
 
 def bounds_to_csv(pair: BoundPair) -> str:

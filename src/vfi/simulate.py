@@ -7,7 +7,7 @@ dominance test where the local parameter walks across the breakdown point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,20 +23,15 @@ __all__ = ["ExperimentConfig", "PowerCurve", "run_normal_location", "run_uniform
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Settings of a Monte Carlo experiment; the runner it is passed to is
-    the design.  ``grid_step`` None takes that runner's default step.  The
-    bootstrap settings are checked once, as the ``BootstrapConfig`` every
-    problem copies with its own seed."""
+    the design.  ``grid_step`` None takes that runner's default step.  Every
+    problem copies ``bootstrap`` with its own seed, derived from
+    ``bootstrap.seed``, which also seeds the data draws."""
 
     n: int = 100
-    R: int = 199
     reps: int = 300
     deltas: tuple = (-5.0, -2.5, 0.0, 2.5, 5.0)
-    alpha: float = 0.05
-    seed: int = 0
     grid_step: float | None = None
-    scheme: str = "multinomial"
-    threads: int = 1
-    _bootstrap: BootstrapConfig = field(init=False, repr=False, compare=False)
+    bootstrap: BootstrapConfig = BootstrapConfig()
 
     def __post_init__(self):
         _require_ints(self, "n", "reps")
@@ -48,9 +43,6 @@ class ExperimentConfig:
             raise ValueError("delta grid must be nonempty")
         if not np.isfinite(np.asarray(self.deltas, dtype=float)).all():
             raise ValueError("deltas must be finite numbers")
-        object.__setattr__(self, "_bootstrap", BootstrapConfig(
-            R=self.R, scheme=self.scheme, seed=self.seed, alpha=self.alpha,
-            threads=self.threads))
 
 
 @dataclass(frozen=True)
@@ -73,7 +65,8 @@ def _collect(config: ExperimentConfig, one_rep) -> PowerCurve:
     """Rejection rates over the delta grid, the problems run in order on the
     calling thread.  At the paper's n = 100 a problem's numpy calls are too
     small to release the GIL, so a pool of problems would only pass it back
-    and forth; ``config.threads`` sizes each problem's candidate pass."""
+    and forth; ``config.bootstrap.threads`` sizes each problem's candidate
+    pass."""
     deltas = np.asarray(config.deltas, dtype=float)
     hits = [sum(one_rep(d, i, m) for m in range(config.reps)) for i, d in enumerate(deltas)]
     rates = np.asarray(hits) / config.reps
@@ -86,12 +79,13 @@ def run_normal_location(config: ExperimentConfig) -> PowerCurve:
     the two-standard-normal closed form, under mean shifts delta/sqrt(n)."""
     n = config.n
     step = 0.05 if config.grid_step is None else config.grid_step
+    boot = config.bootstrap
 
     def one_rep(delta: float, i: int, m: int) -> bool:
-        rng = stream(config.seed, 7001, i, m)
+        rng = stream(boot.seed, 7001, i, m)
         X0 = Sample(rng.normal(0.0, 1.0, n), label="control")
         X1 = Sample(rng.normal(delta / np.sqrt(n), 1.0, n), label="treated")
-        bconf = replace(config._bootstrap, seed=derive_seed(config.seed, 7001, i, m))
+        bconf = replace(boot, seed=derive_seed(boot.seed, 7001, i, m))
         band = uniform_band("lower", X1, X0, config=bconf, step=step)
         L0 = ValueFunction(grid=band.grid, values=_normal_lower_bound(band.grid.points))
         stat = ks_band_stat(ValueFunction(grid=band.grid, values=band.center), L0, band.r_n)
@@ -105,14 +99,15 @@ def run_uniform_dominance(config: ExperimentConfig) -> PowerCurve:
     treatment A sits at mu = 1 + delta/sqrt(n); delta = 0 is the boundary."""
     n = config.n
     step = 0.02 if config.grid_step is None else config.grid_step
+    boot = config.bootstrap
 
     def one_rep(delta: float, i: int, m: int) -> bool:
         mu = 1.0 + delta / np.sqrt(n)
-        rng = stream(config.seed, 7002, i, m)
+        rng = stream(boot.seed, 7002, i, m)
         X0 = Sample(rng.uniform(0.0, 1.0, n), label="control")
         XB = Sample(rng.uniform(0.0, 1.0, n), label="B")
         XA = Sample(rng.uniform(mu, mu + 1.0, n), label="A")
-        bconf = replace(config._bootstrap, seed=derive_seed(config.seed, 7002, i, m))
+        bconf = replace(boot, seed=derive_seed(boot.seed, 7002, i, m))
         res = dominance_test(X0, XA, XB, config=bconf, step=step, orientation="sufficient")
         return res.reject
 

@@ -31,8 +31,8 @@ class DenseStructure:
         return self.evaluate(self.c1, self.c0)
 
     def objective(self, orientation="lower"):
-        """psi of it recovers the bound: lower_bound = psi(.) and
-        upper_bound = 1 - psi(.) for 'upper'."""
+        """psi of it recovers the bound: the lower bound is psi(.) and the
+        upper bound 1 - psi(.) for 'upper'."""
         if orientation not in ("lower", "upper"):
             raise ValueError(f"unknown orientation {orientation!r}")
         values = self.base_values()

@@ -16,7 +16,7 @@ from vfi.bootstrap import BootstrapConfig
 from vfi.derivative import Tuning, derivative_estimates, eps_argmax
 from vfi.empirical import Sample, ecdf_build
 from vfi.inference import Band
-from vfi.makarov import default_grid, lower_bound, support_bounds, upper_bound
+from vfi.makarov import compute_bounds, support_bounds
 from vfi.simulate import ExperimentConfig, run_normal_location, run_uniform_dominance
 from vfi.stats import StatKind, ks_band_stat
 from vfi.valuemap import Grid, GriddedObjective, ValueFunction
@@ -60,11 +60,10 @@ def test_c01_bounds_match_brute_force_oracle():
     for _ in range(200):
         X1 = Sample(rng.normal(0, 1, rng.integers(2, 21)))
         X0 = Sample(rng.normal(0.2, 1.3, rng.integers(2, 21)))
-        F1, F0 = ecdf_build(X1), ecdf_build(X0)
-        grid = default_grid(support_bounds(X1, X0), 0.31)
-        L = lower_bound(F1, F0, grid).values
-        U = upper_bound(F1, F0, grid).values
-        for k, x in enumerate(grid.points):
+        F1 = ecdf_build(X1)
+        pair = compute_bounds(X1, X0, step=0.31)
+        L, U = pair.lower.values, pair.upper.values
+        for k, x in enumerate(pair.grid.points):
             worst = max(worst, abs(L[k] - brute_lower(F1, X0, x)))
             worst = max(worst, abs(U[k] - brute_upper(F1, X0, x)))
     elapsed = time.perf_counter() - t0
@@ -77,10 +76,10 @@ def test_c02_closed_form_bound_recovery():
     t0 = time.perf_counter()
     rng = np.random.default_rng(102)
     n = 10**5
-    F1 = ecdf_build(Sample(rng.normal(0, 1, n)))
-    F0 = ecdf_build(Sample(rng.normal(0, 1, n)))
+    X1 = Sample(rng.normal(0, 1, n))
+    X0 = Sample(rng.normal(0, 1, n))
     grid = Grid(points=np.arange(-600, 601) * 0.01, step=0.01)
-    L = lower_bound(F1, F0, grid).values
+    L = compute_bounds(X1, X0, grid=grid).lower.values
     truth = np.maximum(2.0 * norm.cdf(grid.points / 2.0) - 1.0, 0.0)
     err = float(np.max(np.abs(L - truth)))
     elapsed = time.perf_counter() - t0
@@ -111,17 +110,18 @@ def test_c04_degenerate_control_identity():
         c = float(rng.normal())
         X0 = Sample(np.full(rng.integers(1, 5), c))
         X1 = Sample(rng.normal(0, 1, rng.integers(2, 12)))
-        F1, F0 = ecdf_build(X1), ecdf_build(X0)
-        grid = default_grid(support_bounds(X1, X0), 0.17)
-        assert_array_equal(lower_bound(F1, F0, grid).values,
-                           F1.left_limit(grid.points + c))
-        assert_array_equal(upper_bound(F1, F0, grid).values, F1(grid.points + c))
+        F1 = ecdf_build(X1)
+        pair = compute_bounds(X1, X0, step=0.17)
+        grid = pair.grid
+        assert_array_equal(pair.lower.values, F1.left_limit(grid.points + c))
+        assert_array_equal(pair.upper.values, F1(grid.points + c))
     report(4, "degenerate-identity", "50 cases, exact")
 
 
 def test_c05_null_size_ks_band():
     t0 = time.perf_counter()
-    cfg = ExperimentConfig(n=100, R=199, reps=300, deltas=(0.0,), alpha=0.05, seed=1005)
+    cfg = ExperimentConfig(n=100, reps=300, deltas=(0.0,),
+                           bootstrap=BootstrapConfig(R=199, alpha=0.05, seed=1005))
     rate = float(run_normal_location(cfg).reject_rate[0])
     elapsed = time.perf_counter() - t0
     assert 0.02 <= rate <= 0.09
@@ -131,8 +131,8 @@ def test_c05_null_size_ks_band():
 
 def test_c06_dominance_boundary_size_and_power():
     t0 = time.perf_counter()
-    cfg = ExperimentConfig(n=100, R=199, reps=300, deltas=(-5.0, 0.0, 5.0), alpha=0.05,
-                           seed=1006)
+    cfg = ExperimentConfig(n=100, reps=300, deltas=(-5.0, 0.0, 5.0),
+                           bootstrap=BootstrapConfig(R=199, alpha=0.05, seed=1006))
     curve = run_uniform_dominance(cfg)
     p_minus, p_bound, p_plus = (float(v) for v in curve.reject_rate)
     elapsed = time.perf_counter() - t0

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from vfi import cli, makarov
+from vfi.bootstrap import BootstrapConfig
 from vfi.cli import run_cli
 from vfi.empirical import load_sample_csv
-from vfi.simulate import ExperimentConfig
 
 CLI = [sys.executable, "-m", "vfi.cli"]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -155,6 +155,17 @@ class TestQuantileBounds:
         assert r.returncode == 0 and r.stderr == ""
         assert r.stdout == plain.stdout
 
+    @pytest.mark.parametrize("tau, row", [("1e-10", "1e-10,-4.0,-2.0"),
+                                          ("0.9999999999", "0.9999999999,1.0,3.0")])
+    def test_level_next_to_0_or_1(self, tmp_path, tau, row):
+        # neither a breakpoint nor a point 1e-9 inside an end lies in (0, tau)
+        # or in (tau, 1), so that side is read at its midpoint, not reduced
+        # over no candidate at all
+        paths = _write_samples(tmp_path, t=[0.0, 1.0, 2.0, 3.0], c=[0.0, 1.0, 4.0])
+        r = run("quantile-bounds", "--treated", paths["t"], "--control", paths["c"],
+                "--taus", tau)
+        assert (r.returncode, r.stdout, r.stderr) == (0, f"tau,lower,upper\n{row}\n", "")
+
 
 class TestErrors:
     def test_missing_file_exit_1(self, data):
@@ -260,7 +271,7 @@ class TestErrors:
                 "--threads", "0")
         assert r.returncode == 2 and "--threads" in r.stderr
         with pytest.raises(ValueError, match="thread count"):
-            ExperimentConfig(threads=0)
+            BootstrapConfig(threads=0)
 
     def test_threads_above_the_cap_exit_2(self, data, capsys):
         # only the parser is run: no pool is started at either value

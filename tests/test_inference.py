@@ -15,20 +15,12 @@ from vfi.empirical import Sample, _cum_from_weights, ecdf_build
 from vfi.inference import (
     Band,
     _BootstrapProblem,
-    bound_bands,
     cdf_band,
     constant_effect_check,
     dominance_test,
     uniform_band,
 )
-from vfi.makarov import (
-    MakarovStructure,
-    compute_bounds,
-    default_grid,
-    lower_bound,
-    support_bounds,
-    upper_bound,
-)
+from vfi.makarov import MakarovStructure, compute_bounds, default_grid
 from vfi.stats import StatKind, ks_band_stat
 from vfi.valuemap import Grid, ValueFunction
 
@@ -42,11 +34,11 @@ class TestUniformBand:
     def test_center_matches_plugin_bound(self):
         X1, X0 = normal_samples(1)
         band = uniform_band("lower", X1, X0, config=BootstrapConfig(R=19, seed=1), step=0.1)
-        F1, F0 = ecdf_build(X1), ecdf_build(X0)
-        assert_array_equal(band.center, lower_bound(F1, F0, band.grid).values)
+        pair = compute_bounds(X1, X0, grid=band.grid)
+        assert_array_equal(band.center, pair.lower.values)
         bu = uniform_band("upper", X1, X0, config=BootstrapConfig(R=19, seed=1),
                           grid=band.grid)
-        assert_array_equal(bu.center, upper_bound(F1, F0, band.grid).values)
+        assert_array_equal(bu.center, pair.upper.values)
 
     def test_band_invariants(self):
         X1, X0 = normal_samples(2)
@@ -64,16 +56,18 @@ class TestUniformBand:
         tight = uniform_band("lower", X1, X0, config=replace(cfg, alpha=0.5), step=0.1)
         wide = uniform_band("lower", X1, X0, config=cfg, step=0.1)
         assert tight.c_star < wide.c_star
-        for band in (tight, *bound_bands(X1, X0, config=replace(cfg, alpha=0.5), step=0.1)):
+        upper = uniform_band("upper", X1, X0, config=replace(cfg, alpha=0.5), step=0.1)
+        for band in (tight, upper):
             assert band.alpha == 0.5 and band.run.config.alpha == 0.5
+        assert cdf_band(X1, X0, config=replace(cfg, alpha=0.5), step=0.1).alpha == 0.5
 
     def test_grid_and_step_are_not_both_taken(self):
         # the step was dropped in silence when a grid was given
         X1, X0 = normal_samples(14, n=30)
-        grid = default_grid(support_bounds(X1, X0), 0.2)
+        grid = default_grid(X0, (X1,), 0.2)
         cfg = BootstrapConfig(R=9)
         calls = [lambda **kw: uniform_band("lower", X1, X0, config=cfg, **kw),
-                 lambda **kw: bound_bands(X1, X0, config=cfg, **kw),
+                 lambda **kw: cdf_band(X1, X0, config=cfg, **kw),
                  lambda **kw: dominance_test(X0, X1, X1, config=cfg, **kw),
                  lambda **kw: compute_bounds(X1, X0, **kw)]
         for call in calls:
@@ -84,7 +78,7 @@ class TestUniformBand:
     def test_all_one_weights_give_zero_replicate(self):
         X1, X0 = normal_samples(4, n=30)
         F1, F0 = ecdf_build(X1), ecdf_build(X0)
-        grid = default_grid(support_bounds(X1, X0), 0.2)
+        grid = default_grid(X0, (X1,), 0.2)
         tuning = Tuning(n=60)
         s = MakarovStructure(F1, F0, grid, tuning.a_n, ("lower",))
         sets = eps_argmax(s.near_argmax("lower"), tuning)
@@ -126,7 +120,7 @@ class TestTieBlocks:
                       *_cum_from_weights(ones, X.block_starts)):
                 assert d.tobytes() == F.cum0.tobytes()
         tuning = Tuning(n=100)  # the tuning's floor is above n = 2; any slack will do
-        grid = default_grid(support_bounds(X1, X0))
+        grid = default_grid(X0, (X1,))
         s = MakarovStructure(F1, F0, grid, tuning.a_n, ("lower", "upper"))
         for which in ("lower", "upper"):
             sets = eps_argmax(s.near_argmax(which), tuning)
@@ -145,7 +139,7 @@ class TestMemory:
         X1, X0 = normal_samples(12, n=1000, shift=0.5)
         tracemalloc.start()
         try:
-            bound_bands(X1, X0, config=BootstrapConfig(R=9, seed=1, alpha=0.025))
+            cdf_band(X1, X0, config=BootstrapConfig(R=9, seed=1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -188,29 +182,17 @@ class TestBandDuality:
 
 class TestCdfBand:
     def make(self, seed):
+        """Two samples, a config and its two bound bands at alpha/2."""
         X1, X0 = normal_samples(seed)
-        cfg = BootstrapConfig(R=49, seed=seed, alpha=0.025)
-        lo = uniform_band("lower", X1, X0, config=cfg, step=0.1)
-        hi = uniform_band("upper", X1, X0, config=cfg, grid=lo.grid)
-        return X1, X0, lo, hi
+        cfg = BootstrapConfig(R=49, seed=seed, alpha=0.05)
+        half = replace(cfg, alpha=0.025)
+        lo = uniform_band("lower", X1, X0, config=half, step=0.1)
+        hi = uniform_band("upper", X1, X0, config=half, grid=lo.grid)
+        return X1, X0, cfg, lo, hi
 
-    def test_contains_plugin_bounds_and_monotone(self):
-        X1, X0, lo_band, hi_band = self.make(7)
-        combined = cdf_band(lo_band, hi_band)
-        F1, F0 = ecdf_build(X1), ecdf_build(X0)
-        L = lower_bound(F1, F0, combined.grid).values
-        U = upper_bound(F1, F0, combined.grid).values
-        assert np.all(combined.lo <= L) and np.all(U <= combined.hi)
-        assert np.all(np.diff(combined.lo) >= 0) and np.all(np.diff(combined.hi) >= 0)
-        assert combined.alpha == pytest.approx(0.05)
-
-    def test_hi_above_lo(self):
-        _, _, lo_band, hi_band = self.make(8)
-        combined = cdf_band(lo_band, hi_band)
-        assert np.all(combined.lo <= combined.hi)
-
-    def test_bound_bands_share_one_structure_and_scan(self, monkeypatch):
-        X1, X0, lo_band, hi_band = self.make(10)
+    @staticmethod
+    def count_calls(monkeypatch):
+        """The names of the bound scans and structures built, as they run."""
         calls = []
 
         def counted(fn, name):
@@ -222,8 +204,43 @@ class TestCdfBand:
         monkeypatch.setattr(makarov, "_scan", counted(makarov._scan, "scan"))
         monkeypatch.setattr(inference, "MakarovStructure",
                             counted(MakarovStructure, "structure"))
-        cfg = BootstrapConfig(R=49, seed=10, alpha=0.025)
-        pair = bound_bands(X1, X0, config=cfg, step=0.1)
+        return calls
+
+    def test_contains_plugin_bounds_and_monotone(self):
+        X1, X0 = normal_samples(7)
+        combined = cdf_band(X1, X0, config=BootstrapConfig(R=49, seed=7), step=0.1)
+        pair = compute_bounds(X1, X0, grid=combined.grid)
+        assert np.all(combined.lo <= pair.lower.values)
+        assert np.all(pair.upper.values <= combined.hi)
+        assert np.all(np.diff(combined.lo) >= 0) and np.all(np.diff(combined.hi) >= 0)
+        assert combined.alpha == 0.05
+
+    def test_hi_above_lo(self):
+        X1, X0 = normal_samples(8)
+        combined = cdf_band(X1, X0, config=BootstrapConfig(R=49, seed=8), step=0.1)
+        assert np.all(combined.lo <= combined.hi)
+
+    def test_equals_the_combined_uniform_bands(self, monkeypatch):
+        # one structure and no scan, then the monotone combination of the
+        # lower and upper uniform bands at alpha/2, bit for bit
+        X1, X0, cfg, lo_band, hi_band = self.make(9)
+        calls = self.count_calls(monkeypatch)
+        combined = cdf_band(X1, X0, config=cfg, step=0.1)
+        assert calls == ["structure"]
+        assert combined.grid.same_as(lo_band.grid)
+        assert combined.lo.tobytes() == np.maximum.accumulate(lo_band.lo).tobytes()
+        want_hi = np.minimum.accumulate(hi_band.hi[::-1])[::-1]
+        assert combined.hi.tobytes() == want_hi.tobytes()
+        want_center = 0.5 * (lo_band.center + hi_band.center)
+        assert combined.center.tobytes() == want_center.tobytes()
+        assert combined.c_star == max(lo_band.c_star, hi_band.c_star)
+        assert (combined.alpha, combined.r_n) == (cfg.alpha, lo_band.r_n)
+
+    def test_bound_bands_share_one_structure_and_scan(self, monkeypatch):
+        X1, X0, cfg, lo_band, hi_band = self.make(10)
+        calls = self.count_calls(monkeypatch)
+        pair = inference._bands(("lower", "upper"), X1, X0, replace(cfg, alpha=0.025),
+                                None, 0.1, None)
         assert calls == ["structure"]
         for got, want in zip(pair, (lo_band, hi_band)):
             assert got.grid.same_as(want.grid)
@@ -241,14 +258,6 @@ class TestCdfBand:
             calls.clear()
             run(config=cfg, step=0.2)
             assert "scan" not in calls, run
-
-    def test_alpha_mismatch_rejected(self):
-        X1, X0 = normal_samples(9)
-        a = uniform_band("lower", X1, X0, config=BootstrapConfig(R=19, seed=9), step=0.2)
-        b = uniform_band("upper", X1, X0, config=BootstrapConfig(R=19, seed=9, alpha=0.1),
-                         grid=a.grid)
-        with pytest.raises(ValueError, match="level"):
-            cdf_band(a, b)
 
 
 class TestDominanceTest:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,14 +16,11 @@ from vfi.makarov import (
     ArgmaxBudgetError,
     GridBudgetError,
     MakarovStructure,
-    SupportInfo,
     bounds_to_csv,
     compute_bounds,
     default_grid,
-    lower_bound,
     quantile_bounds,
     support_bounds,
-    upper_bound,
 )
 from vfi.valuemap import Grid
 
@@ -149,19 +147,17 @@ class TestBoundsOracle:
         for _ in range(50):
             X1, X0 = random_pair(rng)
             F1, F0 = ecdf_build(X1), ecdf_build(X0)
-            grid = default_grid(support_bounds(X1, X0), 0.21)
-            L = lower_bound(F1, F0, grid).values
-            U = upper_bound(F1, F0, grid).values
-            for k, x in enumerate(grid.points):
+            pair = compute_bounds(X1, X0, step=0.21)
+            L, U = pair.lower.values, pair.upper.values
+            for k, x in enumerate(pair.grid.points):
                 assert L[k] == pytest.approx(brute_lower(F1, X0, x), abs=1e-12)
                 assert U[k] == pytest.approx(brute_upper(F1, X0, x), abs=1e-12)
 
     def test_hand_case(self):
         X1 = Sample(np.array([1.0, 2.0]))
         X0 = Sample(np.array([0.0, 1.0]))
-        F1, F0 = ecdf_build(X1), ecdf_build(X0)
         g = Grid(points=np.array([1.0, 1.5, 2.5]), step=0.5)
-        assert_array_equal(lower_bound(F1, F0, g).values, [0.0, 0.5, 1.0])
+        assert_array_equal(compute_bounds(X1, X0, grid=g).lower.values, [0.0, 0.5, 1.0])
 
     def test_bounds_are_cdf_like(self):
         rng = np.random.default_rng(8)
@@ -179,10 +175,11 @@ class TestBoundsOracle:
         # constant control: bounds collapse to one-sided limits of F1
         X1 = Sample(np.array([1.0, 3.0]))
         X0 = Sample(np.array([0.0, 0.0]))
-        F1, F0 = ecdf_build(X1), ecdf_build(X0)
+        F1 = ecdf_build(X1)
         g = Grid(points=np.array([0.5, 1.0, 2.0, 3.0, 3.5]), step=0.5)
-        assert_array_equal(lower_bound(F1, F0, g).values, F1.left_limit(g.points))
-        assert_array_equal(upper_bound(F1, F0, g).values, F1(g.points))
+        pair = compute_bounds(X1, X0, grid=g)
+        assert_array_equal(pair.lower.values, F1.left_limit(g.points))
+        assert_array_equal(pair.upper.values, F1(g.points))
 
 
 lattice_sample = st.lists(st.integers(-12, 12), min_size=1, max_size=12).map(
@@ -200,7 +197,7 @@ class TestScanOracle:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_matches_direct_evaluation(self, strides, X1, X0, step):
         F1, F0 = ecdf_build(X1), ecdf_build(X0)
-        grid = default_grid(support_bounds(X1, X0), step)
+        grid = default_grid(X0, (X1,), step)
         expect = [brute_extremes(F1, X0, x) for x in grid.points]
         for S in strides():
             lower, upper = makarov._scan(F1, F0, grid)
@@ -223,7 +220,7 @@ def tie_heavy_lattice_cases(count):
     for _ in range(count):
         X1 = Sample(np.round(rng.normal(0, 1, rng.integers(1, 25)), 1))
         X0 = Sample(np.round(rng.normal(0.2, 1, rng.integers(1, 25)), 1))
-        yield ecdf_build(X1), ecdf_build(X0), default_grid(support_bounds(X1, X0), 0.1)
+        yield ecdf_build(X1), ecdf_build(X0), default_grid(X0, (X1,), 0.1)
 
 
 def ulp_spaced_case():
@@ -253,7 +250,7 @@ def pair_family_cases(draw):
         return ecdf_build(X1), ecdf_build(X0), Grid(points=xs, step=float(np.spacing(7.0)))
     X0 = Sample(rng.integers(-40, 41, n0) * 0.05)
     X1 = Sample(rng.integers(-40, 41, n1) * 0.05)
-    grid = default_grid(support_bounds(X1, X0), 0.05)
+    grid = default_grid(X0, (X1,), 0.05)
     if kind == "coincide":
         # treated jumps at j0 + x for a few grid x, as the kernel computes them
         x = rng.choice(grid.points, 3)
@@ -284,7 +281,7 @@ class TestRowKernel:
         cases = [([0.0], [0.0]), ([1.5], [-2.0, 0.3, 4.0]), ([-1.0, 0.2, 2.0], [0.7])]
         for x1, x0 in cases:
             X1, X0 = Sample(np.array(x1)), Sample(np.array(x0))
-            grid = default_grid(support_bounds(X1, X0), 0.25)
+            grid = default_grid(X0, (X1,), 0.25)
             assert_kernel_matches_reference(ecdf_build(X1), ecdf_build(X0), grid, strides)
 
     @given(pair_family_cases())
@@ -303,7 +300,7 @@ class TestRowKernel:
         rng = np.random.default_rng(22)
         X1, X0 = Sample(np.round(rng.normal(0, 1, 17), 1)), Sample(rng.normal(0, 1, 12))
         F1, F0 = ecdf_build(X1), ecdf_build(X0)
-        grid = default_grid(support_bounds(X1, X0), 0.13)
+        grid = default_grid(X0, (X1,), 0.13)
         for rows in (1, 3, 7):
             assert rows == 1 or len(grid) % rows, "the last chunk should be short"
             # chunks of `rows` grid rows in the candidate pass
@@ -382,23 +379,22 @@ def pruning_cases(draw):
         X0, X1 = Sample(rng.normal(0.3, 1.2, n0)), Sample(rng.normal(0.0, 1.0, n1))
     else:
         X0, X1 = Sample((np.arange(n0) + 0.5) / n1), Sample(np.arange(n1) / n1)
-    info = support_bounds(X1, X0)
-    lo, hi = info.global_range
+    lo, hi = X1.min - X0.max, X1.max - X0.min
     step = 0.1 if kind == "lattice" else (hi - lo) / 40 or None
-    return S, ecdf_build(X1), ecdf_build(X0), default_grid(info, step)
+    return S, ecdf_build(X1), ecdf_build(X0), default_grid(X0, (X1,), step)
 
 
 def normal_pair(n, seed):
     rng = np.random.default_rng(seed)
     X1, X0 = Sample(rng.normal(0.5, 1.0, n)), Sample(rng.normal(0.0, 1.0, n))
-    return ecdf_build(X1), ecdf_build(X0), default_grid(support_bounds(X1, X0))
+    return ecdf_build(X1), ecdf_build(X0), default_grid(X0, (X1,))
 
 
 def interleaved_lattices(n):
     """Treated k/n and control (k + 1/2)/n: the objective is flat, so the
     fine pass of the scan ranks nearly every block."""
     X1, X0 = Sample(np.arange(n) / n), Sample((np.arange(n) + 0.5) / n)
-    return ecdf_build(X1), ecdf_build(X0), default_grid(support_bounds(X1, X0))
+    return ecdf_build(X1), ecdf_build(X0), default_grid(X0, (X1,))
 
 
 class TestPrunedScan:
@@ -504,7 +500,7 @@ class TestWorkingMemory:
 
 @st.composite
 def upper_bound_cases(draw):
-    """(F1, F0, default grid) of 1 to 60 points per arm: normal, heavy ties
+    """(X1, X0) of 1 to 60 points per arm: normal, heavy ties
     on the 0.1 lattice, points 1 ulp apart near 1.0, and a treated sample
     far from the control."""
     n1, n0 = draw(st.integers(1, 60)), draw(st.integers(1, 60))
@@ -518,8 +514,7 @@ def upper_bound_cases(draw):
             x1, x0 = np.round(x1, 1), np.round(x0, 1)
         elif kind == "far":
             x1 += 1e6
-    X1, X0 = Sample(x1), Sample(x0)
-    return ecdf_build(X1), ecdf_build(X0), default_grid(support_bounds(X1, X0))
+    return Sample(x1), Sample(x0)
 
 
 class TestStructure:
@@ -529,8 +524,9 @@ class TestStructure:
         # the row minima of the scan's min-side form over the kept cells,
         # bit for bit and sign of zero included, at the tuning's slack and
         # at the floor
-        F1, F0, grid = case
-        want = upper_bound(F1, F0, grid).values
+        X1, X0 = case
+        F1, F0, grid = ecdf_build(X1), ecdf_build(X0), default_grid(X0, (X1,))
+        want = compute_bounds(X1, X0, grid=grid).upper.values
         n = F1.jump_points.size + F0.jump_points.size
         for a_n in (Tuning(n=max(n, 16)).a_n, MIN_SLACK):
             got = MakarovStructure(F1, F0, grid, a_n, ("upper",)).bound("upper")
@@ -541,23 +537,24 @@ class TestStructure:
         for _ in range(40):
             X1, X0 = random_pair(rng)
             F1, F0 = ecdf_build(X1), ecdf_build(X0)
-            grid = default_grid(support_bounds(X1, X0), 0.19)
+            grid = default_grid(X0, (X1,), 0.19)
             s = MakarovStructure(F1, F0, grid, a_n=0.1)
             Lv = np.clip(s.near_argmax("lower").row_max, 0.0, 1.0)
             Uv = np.clip(1.0 - np.maximum(s.near_argmax("upper").row_max, 0.0), 0.0, 1.0)
-            assert_array_equal(Lv, lower_bound(F1, F0, grid).values)
+            pair = compute_bounds(X1, X0, grid=grid)
+            assert_array_equal(Lv, pair.lower.values)
             # the direct path arranges the arithmetic differently; agreement
             # is up to one rounding step
-            assert_allclose(Uv, upper_bound(F1, F0, grid).values, atol=1e-15, rtol=0)
+            assert_allclose(Uv, pair.upper.values, atol=1e-15, rtol=0)
             # bound() reads each as the plug-in path does, bit for bit
-            assert_array_equal(s.bound("lower"), lower_bound(F1, F0, grid).values)
-            assert_array_equal(s.bound("upper"), upper_bound(F1, F0, grid).values)
+            assert_array_equal(s.bound("lower"), pair.lower.values)
+            assert_array_equal(s.bound("upper"), pair.upper.values)
 
     def test_base_weights_reproduce_plugin(self):
         rng = np.random.default_rng(10)
         X1, X0 = random_pair(rng)
         F1, F0 = ecdf_build(X1), ecdf_build(X0)
-        grid = default_grid(support_bounds(X1, X0), 0.3)
+        grid = default_grid(X0, (X1,), 0.3)
         s = MakarovStructure(F1, F0, grid, a_n=0.1)
         for o, sign in (("lower", 1.0), ("upper", -1.0)):
             cells = s.cell_indices(o)
@@ -579,7 +576,7 @@ class TestStructure:
         and ``_index_pairs`` counting the rows it builds."""
         X1, X0 = random_pair(np.random.default_rng(13))
         F1, F0 = ecdf_build(X1), ecdf_build(X0)
-        grid = default_grid(support_bounds(X1, X0), 0.1)
+        grid = default_grid(X0, (X1,), 0.1)
         width = F1.jump_points.size + F0.jump_points.size
         monkeypatch.setattr(makarov, "_CHUNK", pass_width(F1, F0))  # one grid row per chunk
         # a slack this large keeps all M + 1 = width + 1 cells of a row,
@@ -632,7 +629,7 @@ class TestStructure:
     def test_objective_rejects_unknown_orientation(self):
         X1, X0 = random_pair(np.random.default_rng(11))
         F1, F0 = ecdf_build(X1), ecdf_build(X0)
-        grid = default_grid(support_bounds(X1, X0), 0.5)
+        grid = default_grid(X0, (X1,), 0.5)
         with pytest.raises(ValueError, match="orientation"):
             MakarovStructure(F1, F0, grid, 0.1, ("lower", "sideways"))
 
@@ -656,50 +653,57 @@ class TestSupport:
         assert info.lower_support == (1.0, 2.0)
         assert info.upper_support == (0.0, 1.0)
 
+    def test_gap_past_the_float_range_is_infinite(self):
+        # the quantile gaps 3.3e308 and 3.4e308 overflow to inf, which must
+        # raise no "overflow encountered in subtract" warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            info = support_bounds(Sample(np.array([1.7e308, 1.6e308])),
+                                  Sample(np.array([-1.7e308, -1.6e308])))
+        inf = float("inf")
+        assert info.lower_support == info.upper_support == info.global_range == (inf, inf)
+
+
+def ranged(lo, hi):
+    """(X0, treated samples) whose effect range is [lo, hi]."""
+    return Sample(np.array([0.0])), (Sample(np.array([lo, hi])),)
+
 
 class TestDefaultGrid:
     def test_pads_one_step(self):
-        info = SupportInfo((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
-        g = default_grid(info, 0.5)
+        g = default_grid(*ranged(0.0, 1.0), 0.5)
         assert_allclose(g.points, [-0.5, 0.0, 0.5, 1.0, 1.5])
 
     def test_degenerate_range(self):
-        info = SupportInfo((2.0, 2.0), (2.0, 2.0), (2.0, 2.0))
-        g = default_grid(info)
+        g = default_grid(*ranged(2.0, 2.0))
         assert len(g) == 3 and g.points[1] == 2.0
 
     def test_budget_checked_before_allocating(self):
-        info = SupportInfo((0.0, 8.5), (0.0, 8.5), (0.0, 8.5))
+        span = ranged(0.0, 8.5)
         with pytest.raises(GridBudgetError, match="1000000"):
-            default_grid(info, 1e-9)  # would be 8.5e9 points, 63 GiB
+            default_grid(*span, 1e-9)  # would be 8.5e9 points, 63 GiB
         with pytest.raises(GridBudgetError):
-            default_grid(info, 5e-324)
-        assert len(default_grid(info, 8.5 / (makarov.MAX_GRID_POINTS - 3))) == makarov.MAX_GRID_POINTS
+            default_grid(*span, 5e-324)
+        assert len(default_grid(*span, 8.5 / (makarov.MAX_GRID_POINTS - 3))) == makarov.MAX_GRID_POINTS
 
     def test_rejects_non_finite_range_and_step(self):
-        wide = SupportInfo((-1e308, 1e308), (-1e308, 1e308), (-1e308, 1e308))
         with pytest.raises(ValueError, match="too wide"):
-            default_grid(wide)
-        info = SupportInfo((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
+            default_grid(*ranged(-1e308, 1e308))
         for step in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="positive and finite"):
-                default_grid(info, step)
+                default_grid(*ranged(0.0, 1.0), step)
 
-    def test_sample_grid_is_the_support_grid(self):
-        # the grid from the sample extremes alone, byte for byte the one
-        # from support_bounds; with two treated samples, over both ranges
+    def test_spans_every_treated_sample(self):
+        # with two treated samples, the range of x1 - x0 over both
         rng = np.random.default_rng(17)
         for _ in range(30):
             X1, X0 = random_pair(rng)
             XB = Sample(rng.normal(1.0, 2.0, 5))
             for step in (None, 0.07):
-                want = default_grid(support_bounds(X1, X0), step)
-                got = makarov._sample_grid(X0, (X1,), step)
-                assert got.points.tobytes() == want.points.tobytes() and got.step == want.step
                 lo = min(X1.min, XB.min) - X0.max
                 hi = max(X1.max, XB.max) - X0.min
-                want = default_grid(SupportInfo((lo, hi), (lo, hi), (lo, hi)), step)
-                got = makarov._sample_grid(X0, (X1, XB), step)
+                want = default_grid(*ranged(lo, hi), step)
+                got = default_grid(X0, (X1, XB), step)
                 assert got.points.tobytes() == want.points.tobytes() and got.step == want.step
 
     def test_covers_range(self):
@@ -708,7 +712,7 @@ class TestDefaultGrid:
             lo = rng.normal()
             hi = lo + rng.uniform(0.1, 5)
             step = rng.uniform(0.01, 1)
-            g = default_grid(SupportInfo((lo, hi), (lo, hi), (lo, hi)), step)
+            g = default_grid(*ranged(lo, hi), step)
             assert g.points[0] <= lo and g.points[-1] >= hi
 
 

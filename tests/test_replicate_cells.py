@@ -13,13 +13,9 @@ from numpy.testing import assert_array_equal
 from vfi.bootstrap import BootstrapConfig, bootstrap_statistic_distribution
 from vfi.derivative import Tuning, eps_argmax
 from vfi.empirical import Sample, _cum_from_weights, ecdf_build
-from vfi.inference import (
-    bound_bands,
-    dominance_test,
-    uniform_band,
-)
+from vfi.inference import dominance_test, uniform_band
 from vfi import bootstrap, inference, makarov
-from vfi.makarov import MIN_SLACK, default_grid, lower_bound, support_bounds, upper_bound
+from vfi.makarov import MIN_SLACK, compute_bounds, default_grid
 from vfi.valuemap import Grid
 
 from dense_reference import DenseStructure, assert_streamed_matches_dense
@@ -57,12 +53,13 @@ class _DenseDominance:
     def __init__(self, X0, XA, XB, grid, tuning, orientation):
         F0, FA, FB = ecdf_build(X0), ecdf_build(XA), ecdf_build(XB)
         self.sample_sizes = [len(X0), len(XA), len(XB)]
+        A, B = compute_bounds(XA, X0, grid=grid), compute_bounds(XB, X0, grid=grid)
         if orientation == "necessary":
             (oA, oB), self.sign = ("lower", "upper"), 1.0
-            gap = lower_bound(FA, F0, grid).values - upper_bound(FB, F0, grid).values
+            gap = A.lower.values - B.upper.values
         else:
             (oA, oB), self.sign = ("upper", "lower"), -1.0
-            gap = upper_bound(FA, F0, grid).values - lower_bound(FB, F0, grid).values
+            gap = A.upper.values - B.lower.values
         self.contact = np.abs(gap) <= tuning.b_n
         if not self.contact.any():
             self.contact = np.ones(len(grid), dtype=bool)
@@ -102,7 +99,7 @@ def test_band_replicates_match_dense(which, scheme, ties):
     rng = np.random.default_rng([41, ties, scheme == "bayesian", which == "upper"])
     decimals = 1 if ties else None
     X1, X0 = _sample(rng, 0.4, 37, decimals), _sample(rng, 0.0, 29, decimals)
-    grid = default_grid(support_bounds(X1, X0), 0.05)
+    grid = default_grid(X0, (X1,), 0.05)
     tuning = Tuning(n=len(X1) + len(X0))
     cfg = BootstrapConfig(R=29, scheme=scheme, seed=int(rng.integers(1000)))
     band = uniform_band(which, X1, X0, config=cfg, grid=grid, tuning=tuning)
@@ -119,7 +116,7 @@ def test_dominance_replicates_match_dense(orientation, scheme, ties):
     X0 = _sample(rng, 0.0, 31, decimals)
     XA = _sample(rng, 0.3, 27, decimals)
     XB = _sample(rng, 0.0, 34, decimals)
-    grid = default_grid(support_bounds(XA, X0), 0.05)
+    grid = default_grid(X0, (XA,), 0.05)
     tuning = Tuning(n=len(X0) + len(XA) + len(XB))
     cfg = BootstrapConfig(R=29, scheme=scheme, seed=int(rng.integers(1000)))
     res = dominance_test(X0, XA, XB, config=cfg, grid=grid, tuning=tuning,
@@ -139,9 +136,8 @@ def test_dominance_empty_contact_falls_back(orientation):
     X0, XA, XB = _sample(rng, 0.0, 30), _sample(rng, 1.5, 30), _sample(rng, 0.0, 30)
     grid = Grid(points=np.linspace(-0.5, 1.5, 21), step=0.1)
     tuning = Tuning(n=90, b_const=1e-9)
-    F0, FA, FB = ecdf_build(X0), ecdf_build(XA), ecdf_build(XB)
-    gaps = (lower_bound(FA, F0, grid).values - upper_bound(FB, F0, grid).values,
-            upper_bound(FA, F0, grid).values - lower_bound(FB, F0, grid).values)
+    A, B = compute_bounds(XA, X0, grid=grid), compute_bounds(XB, X0, grid=grid)
+    gaps = (A.lower.values - B.upper.values, A.upper.values - B.lower.values)
     assert all(np.all(np.abs(g) > tuning.b_n) for g in gaps)
     cfg = BootstrapConfig(R=29, seed=43)
     res = dominance_test(X0, XA, XB, config=cfg, grid=grid, tuning=tuning,
@@ -203,7 +199,7 @@ def _block_cases(R):
 def test_band_replicates_do_not_depend_on_blocks_or_threads(scheme, monkeypatch):
     rng = np.random.default_rng([45, scheme == "bayesian"])
     X1, X0 = _sample(rng, 0.4, 37, 1), _sample(rng, 0.0, 29, 1)
-    grid = default_grid(support_bounds(X1, X0), 0.05)
+    grid = default_grid(X0, (X1,), 0.05)
     tuning = Tuning(n=len(X1) + len(X0))
     cfg = BootstrapConfig(R=29, scheme=scheme, seed=int(rng.integers(1000)))
     dense = [bootstrap_statistic_distribution(_DenseBand(which, X1, X0, grid, tuning), cfg)
@@ -214,8 +210,8 @@ def test_band_replicates_do_not_depend_on_blocks_or_threads(scheme, monkeypatch)
             seen = []
             _in_blocks(m, rows, seen)
             ran_on.clear()
-            bands = bound_bands(X1, X0, config=replace(cfg, threads=threads), grid=grid,
-                                tuning=tuning)
+            bands = inference._bands(("lower", "upper"), X1, X0,
+                                     replace(cfg, threads=threads), grid, None, tuning)
             assert sorted(seen) == sorted(sizes * 2), (rows, threads)
             assert (threading.get_ident() not in ran_on) == (threads > 1), threads
             for band, want in zip(bands, dense):
@@ -229,7 +225,7 @@ def test_dominance_replicates_do_not_depend_on_blocks_or_threads(orientation, sc
                                                                  monkeypatch):
     rng = np.random.default_rng([46, scheme == "bayesian", orientation == "sufficient"])
     X0, XA, XB = _sample(rng, 0.0, 31, 1), _sample(rng, 0.3, 27, 1), _sample(rng, 0.0, 34, 1)
-    grid = default_grid(support_bounds(XA, X0), 0.05)
+    grid = default_grid(X0, (XA,), 0.05)
     tuning = Tuning(n=len(X0) + len(XA) + len(XB))
     cfg = BootstrapConfig(R=29, scheme=scheme, seed=int(rng.integers(1000)))
     dense = _DenseDominance(X0, XA, XB, grid, tuning, orientation)
@@ -255,7 +251,7 @@ def test_bound_bands_equal_two_uniform_bands(scheme):
     X1, X0 = _sample(rng, 0.4, 41, 1), _sample(rng, 0.0, 33)
     cfg = BootstrapConfig(R=39, scheme=scheme, seed=int(rng.integers(1000)), alpha=0.1,
                           threads=2)
-    both = bound_bands(X1, X0, config=cfg, step=0.05)
+    both = inference._bands(("lower", "upper"), X1, X0, cfg, None, 0.05, None)
     for band, which in zip(both, ("lower", "upper")):
         alone = uniform_band(which, X1, X0, config=cfg, grid=band.grid)
         assert_array_equal(band.run.replicates, alone.run.replicates)
@@ -274,7 +270,7 @@ def test_streamed_cells_match_dense(ties, rows, monkeypatch):
     decimals = 1 if ties else None
     X1, X0 = _sample(rng, 0.4, 23, decimals), _sample(rng, 0.0, 19, decimals)
     F1, F0 = ecdf_build(X1), ecdf_build(X0)
-    grid = default_grid(support_bounds(X1, X0), 0.07)
+    grid = default_grid(X0, (X1,), 0.07)
     assert rows == 1 or len(grid) % rows, "the last chunk should be short"
     width = F1.jump_points.size + F0.jump_points.size + 1  # M + 1 cells a grid row
     monkeypatch.setattr(makarov, "_CHUNK", rows * width)

@@ -5,14 +5,17 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from vfi import simulate
-from vfi.bootstrap import derive_seed
+from vfi.bootstrap import BootstrapConfig, derive_seed
 from vfi.simulate import ExperimentConfig, run_normal_location, run_uniform_dominance
 
 
 def small(**kw):
+    """A small ExperimentConfig; R, alpha, seed, scheme and threads go to
+    its BootstrapConfig."""
     base = dict(n=40, R=49, reps=10, deltas=(0.0,), seed=5)
     base.update(kw)
-    return ExperimentConfig(**base)
+    boot = {k: base.pop(k) for k in ("R", "alpha", "seed", "scheme", "threads") if k in base}
+    return ExperimentConfig(bootstrap=BootstrapConfig(**boot), **base)
 
 
 class TestConfig:
