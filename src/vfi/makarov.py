@@ -18,6 +18,7 @@ from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .empirical import Sample, StepCDF, ecdf_build
 from .valuemap import Grid, NearArgmax, ValueFunction
@@ -40,7 +41,7 @@ MAX_GRID_POINTS = 1_000_000
 MAX_ARGMAX_CELLS = 16_000_000
 MIN_SLACK = 1e-12  # far above the few-ulp gap between the scan's two combine forms
 _CHUNK = 65_536  # cap on the cells of one chunk's work arrays: 512 KiB per float64 array
-_STRIDE = 64  # control jumps per block of the bound scan's coarse pass
+_STRIDES = (1024, 64, 4, 1)  # block strides of the bound scan, each a multiple of the next
 ORIENTATIONS = ("lower", "upper")
 
 
@@ -126,11 +127,10 @@ def _shifted(j0: np.ndarray, xs: np.ndarray) -> np.ndarray:
         return j0 + xs
 
 
-def _blocks(a: np.ndarray) -> np.ndarray:
-    """``a`` as a (blocks, _STRIDE) array, the last block padded with a's
-    last entry."""
-    nb = -(-a.size // _STRIDE)
-    return np.concatenate((a, np.repeat(a[-1:], nb * _STRIDE - a.size))).reshape(nb, _STRIDE)
+def _ladder(m: int) -> list[int]:
+    """The strides of ``_STRIDES`` below ``m`` control jumps, or [1]: a
+    level whose blocks are no shorter than the sample would rank padding."""
+    return [S for S in _STRIDES if S < m] or [1]
 
 
 def _scan(F1: StepCDF, F0: StepCDF, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -151,64 +151,71 @@ def _scan(F1: StepCDF, F0: StepCDF, grid: Grid) -> tuple[np.ndarray, np.ndarray]
     Comparing j1 - x against j0 instead can flip an ordering at rounding
     scale and pick up a different piece.
 
-    Few control jumps can hold a row's max or min, so each row is read in
-    two passes over blocks of _STRIDE consecutive control jumps, the last
-    block padded with the last jump (a repeated candidate changes no max or
-    min).  The coarse pass ranks only the block starts and the last jump.
-    They are candidates, so their max and min bound the row's result from
-    inside.  Within a block, row rises with p, and so do #j1 < row, #j1 <=
-    row and c0; rounding is monotone.  So each max-side value c1[#j1 < row]
-    - before is at most c1[#j1 < row at the next coarse key] - before[the
-    block's first jump], and each min-side value c1[#j1 <= row] + after is
-    at least c1[#j1 <= row at the first jump] + after[the last jump].  The
-    fine pass ranks in full only the blocks whose bound beats the coarse
-    max or min, and reduces them into it.  Equal parts give +0.0 in both
-    forms, never -0.0, so the max and min have the same bits whichever
+    Few control jumps can hold a row's max or min, so each row is read by
+    one refine step applied down the stride ladder ``_ladder``.  The jumps
+    are padded with the last jump (a repeated candidate changes no max or
+    min) to a whole block of every jump, plus one end key; that block is
+    level 0 of each row.  The step ranks each (row, block) pair's sub-block
+    starts at the next stride and the next block's start.  They are
+    candidates, so they raise the row max and lower the row min.  Within a
+    sub-block, row rises with p, and so do #j1 < row, #j1 <= row and c0;
+    rounding is monotone.  So each max-side value c1[#j1 < row] - before is
+    at most c1[#j1 < row at the next sub-block's start] - before[the
+    sub-block's start], and each min-side value c1[#j1 <= row] + after is
+    at least c1[#j1 <= row at its start] + after[its last jump].  The step
+    keeps the sub-blocks whose bound beats the row's max or min and refines
+    them at the next stride, or at stride 1 if most of them were kept (a
+    flat row); at stride 1 every jump is ranked.  Equal parts give +0.0 in
+    both forms, never -0.0, so the max and min have the same bits whichever
     candidates reach them.
 
-    Both passes hold about _CHUNK cells per work array: a coarse chunk
-    holds as many grid rows as fit at one key per block, and the fine pass
-    ranks the chunk's surviving (row, block) pairs in slices of _CHUNK
-    cells, each reduced into the max and min, so a flat objective, where
-    most blocks survive, does not grow it.
+    Each step ranks its pairs in slices of at most _CHUNK keys (or of one
+    pair, if a pair holds more), and refines a slice's kept sub-blocks
+    before the next slice, so a flat objective, where most blocks are kept,
+    does not grow the work arrays.
     """
     j1, j0 = F1.jump_points, F0.jump_points
     c1, c0 = F1.cum0, F0.cum0
-    before = _blocks(c0[:-1])  # F0-part just before each control jump
-    after = _blocks(1.0 - c0[1:])  # 1 - F0-part just after each control jump
-    jumps = _blocks(j0)
-    # coarse keys: each block's start, then the last control jump
-    keys = np.append(jumps[:, 0], j0[-1])
-    key_before = np.append(before[:, 0], before[-1, -1])
-    key_after = np.append(after[:, 0], after[-1, -1])
-    lower, upper = np.empty((2, len(grid)))
-    pairs = max(1, _CHUNK // _STRIDE)  # (row, block) pairs a fine slice ranks
-    nb = jumps.shape[0]
-    for s in _chunks(grid, keys.size):
-        xs = grid.points[s]
-        lt, ties = _ranks(j1, _shifted(keys, xs[:, None]))
-        top = c1.take(lt)
-        cap = top[:, 1:] - before[:, 0]  # max-side bound of each block
-        top -= key_before
-        lt += ties
-        bottom = c1.take(lt)
-        floor = bottom[:, :-1] + after[:, -1]  # min-side bound of each block
-        bottom += key_after
-        top, bottom = top.max(axis=1), bottom.min(axis=1)
-        ranked = np.flatnonzero((cap > top[:, None]) | (floor < bottom[:, None]))
-        del lt, ties, cap, floor  # freed before the fine slices, which hold the budget again
-        for f in range(0, ranked.size, pairs):
-            row, block = np.divmod(ranked[f:f + pairs], nb)
-            lt, ties = _ranks(j1, _shifted(jumps[block], xs[row, None]))
-            hi = (c1.take(lt) - before[block]).max(axis=1)
-            lt += ties
-            lo = (c1.take(lt) + after[block]).min(axis=1)
-            first = np.flatnonzero(np.diff(row, prepend=-1))
-            row = row[first]
-            top[row] = np.maximum(top[row], np.maximum.reduceat(hi, first))
-            bottom[row] = np.minimum(bottom[row], np.minimum.reduceat(lo, first))
-        lower[s], upper[s] = top, bottom
-    return lower, upper
+    ladder = _ladder(j0.size)
+    width = ladder[0] * -(-j0.size // ladder[0])
+    pad = (0, width + 1 - j0.size)
+    jumps = np.pad(j0, pad, mode="edge")
+    before = np.pad(c0[:-1], pad, mode="edge")  # F0-part just before each control jump
+    after = np.pad(1.0 - c0[1:], pad, mode="edge")  # 1 - F0-part just after each control jump
+    xs = grid.points
+    top, bottom = np.full(len(grid), -np.inf), np.full(len(grid), np.inf)
+
+    def step(r, p, size, stride):
+        # ranks the (row, start) pairs of blocks of `size` jumps at `stride`,
+        # and returns the sub-blocks they keep, with whether most were kept;
+        # a block's keys (its sub-block starts and the next block's start)
+        # are a window of the padded arrays, and `ends` is `after` at the
+        # last jump of each sub-block
+        keys, lefts, rights = (sliding_window_view(a, size + 1)[:, ::stride]
+                               for a in (jumps, before, after))
+        lt, ties = _ranks(j1, _shifted(keys[p], xs.take(r)[:, None]))
+        hi, lo, b = c1.take(lt), c1.take(lt + ties), lefts[p]
+        np.maximum.at(top, r, (hi - b).max(axis=1))
+        np.minimum.at(bottom, r, (lo + rights[p]).min(axis=1))
+        if stride == 1:
+            return r[:0], p[:0], False
+        ends = sliding_window_view(after[stride - 1:], size - stride + 1)[:, ::stride]
+        # a sub-block is kept where its max-side or min-side bound beats the row's
+        kept = hi[:, 1:] - b[:, :-1] > top[r, None]
+        kept |= lo[:, :-1] + ends[p] < bottom[r, None]
+        i, j = np.divmod(np.flatnonzero(kept), size // stride)
+        return r[i], p[i] + stride * j, 2 * i.size > kept.size
+
+    def refine(rows, starts, size, ladder):
+        # (row, start) pairs of blocks of `size` jumps, refined down `ladder`
+        per = max(1, _CHUNK * ladder[0] // (size + ladder[0]))
+        for f in range(0, rows.size, per):
+            r, p, flat = step(rows[f:f + per], starts[f:f + per], size, ladder[0])
+            if r.size:
+                refine(r, p, ladder[0], [1] if flat else ladder[1:])
+
+    refine(np.arange(len(grid)), np.zeros(len(grid), dtype=np.intp), width, ladder)
+    return top, bottom
 
 
 def _index_pairs(j1: np.ndarray, j0: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -368,9 +375,15 @@ class MakarovStructure:
 
 def _inside(cands: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """The candidates inside (lo, hi), or else its midpoint: a level within
-    1e-9 of 0 or 1 can leave no breakpoint or end point inside."""
+    1e-9 of 0 or 1 can leave no breakpoint or end point inside.  Where no
+    float lies inside (the midpoint rounds to an end, as for a subnormal
+    level), ``hi``: both quantile functions are left-continuous, so it reads
+    the same piece as the points just below it."""
     cands = cands[(cands > lo) & (cands < hi)]
-    return cands if cands.size else np.array([(lo + hi) / 2.0])
+    if cands.size:
+        return cands
+    mid = (lo + hi) / 2.0
+    return np.array([mid if lo < mid < hi else hi])
 
 
 def quantile_bounds(F1: StepCDF, F0: StepCDF, taus) -> tuple[np.ndarray, np.ndarray]:
@@ -380,7 +393,7 @@ def quantile_bounds(F1: StepCDF, F0: StepCDF, taus) -> tuple[np.ndarray, np.ndar
     L^{-1}(tau) = inf_{u in (tau, 1)} Q1(u) - Q0(u - tau), evaluated over
     the quantile-level breakpoints of both samples inside the open interval
     plus points 1e-9 inside each endpoint, or at its midpoint if none of
-    those is inside.
+    those is inside (at its upper end if no float is).
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if not np.all((taus > 0.0) & (taus < 1.0)):
@@ -474,9 +487,10 @@ def compute_bounds(X1: Sample, X0: Sample, grid: Grid | None = None,
     bound sup_u F1(u) - F0(u - x) and the upper bound 1 + inf_u F1(u) -
     F0(u - x), whose candidates evaluate as (1 - F0-part) + F1-part so the
     degenerate case (F0-part equal to 1) reproduces F1 values bit for bit.
-    The bound scan runs on one thread: its chunks are small (about _CHUNK
-    cells, as 41 grid rows of 1,564 keys, one per _STRIDE control jumps, at
-    n = 1e5 per arm), and a second thread did not speed it up on two cores."""
+    The bound scan runs on one thread: its slices are small (at n = 1e5 per
+    arm on normal data it ranks 0.6 % of the candidates, 302k keys in 11
+    slices of at most _CHUNK), and a second thread did not speed it up on
+    two cores."""
     F1, F0 = ecdf_build(X1), ecdf_build(X0)
     grid = _resolve_grid(grid, step, X0, (X1,))
     lower, upper = (ValueFunction(grid=grid, values=np.clip(v, 0.0, 1.0, out=v))

@@ -156,11 +156,14 @@ class TestQuantileBounds:
         assert r.stdout == plain.stdout
 
     @pytest.mark.parametrize("tau, row", [("1e-10", "1e-10,-4.0,-2.0"),
-                                          ("0.9999999999", "0.9999999999,1.0,3.0")])
+                                          ("0.9999999999", "0.9999999999,1.0,3.0"),
+                                          ("1e-320", "1e-320,-4.0,-2.0"),
+                                          ("5e-324", "5e-324,-4.0,-2.0")])
     def test_level_next_to_0_or_1(self, tmp_path, tau, row):
         # neither a breakpoint nor a point 1e-9 inside an end lies in (0, tau)
         # or in (tau, 1), so that side is read at its midpoint, not reduced
-        # over no candidate at all
+        # over no candidate at all; no float lies inside (0, 5e-324), whose
+        # midpoint rounds to 0, so that side is read at tau itself
         paths = _write_samples(tmp_path, t=[0.0, 1.0, 2.0, 3.0], c=[0.0, 1.0, 4.0])
         r = run("quantile-bounds", "--treated", paths["t"], "--control", paths["c"],
                 "--taus", tau)

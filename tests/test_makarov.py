@@ -90,22 +90,42 @@ def reference_structure(F1, F0, grid):
             i0r, i0l)
 
 
+# stride ladders of the bound scan: every jump ranked at level 0 (1,); one
+# pruned level with a short last block on most samples (2, 1), (3, 1); the
+# two-pass scan's (64, 1); two pruned levels (4, 2, 1), (9, 3, 1); and the
+# default
+LADDERS = ((1,), (2, 1), (3, 1), (64, 1), (4, 2, 1), (9, 3, 1), makarov._STRIDES)
+
+
 @pytest.fixture
 def strides(monkeypatch):
-    """An iterator that sets the bound scan's block stride to 1 (every
-    control jump its own block), 2 and 3 (a short last block on most
-    samples) and 64 (the default) in turn, yielding each."""
+    """An iterator that sets the bound scan's stride ladder to each of
+    LADDERS in turn, yielding each."""
     def each():
-        for S in (1, 2, 3, 64):
-            monkeypatch.setattr(makarov, "_STRIDE", S)
-            yield S
+        for ladder in LADDERS:
+            monkeypatch.setattr(makarov, "_STRIDES", ladder)
+            yield ladder
     return each
 
 
 def scan_width(F0):
-    """Cells a grid row of the scan's coarse pass holds at the current
-    stride: one key per block of control jumps, and the last jump."""
-    return makarov._blocks(F0.jump_points).shape[0] + 1
+    """Keys a grid row of the scan's level 0 ranks at the current ladder:
+    one per block of its first stride, and the end key."""
+    m = F0.jump_points.size
+    return -(-m // makarov._ladder(m)[0]) + 1
+
+
+def ranked_keys(monkeypatch):
+    """A list that collects the size of every ``_ranks`` call from here on."""
+    ranked = []
+    ranks = makarov._ranks
+
+    def counted(j1, rows):
+        ranked.append(rows.size)
+        return ranks(j1, rows)
+
+    monkeypatch.setattr(makarov, "_ranks", counted)
+    return ranked
 
 
 def pass_width(F1, F0):
@@ -116,10 +136,10 @@ def pass_width(F1, F0):
 def assert_kernel_matches_reference(F1, F0, grid, strides):
     lower = reference_scan(F1, F0, grid, lambda a, b: a - b, np.max)
     upper = reference_scan(F1, F0, grid, lambda a, b: (1.0 - b) + a, np.min)
-    for S in strides():
+    for ladder in strides():
         got = makarov._scan(F1, F0, grid)
-        assert_array_equal(got[0], lower, err_msg=f"lower, stride {S}")
-        assert_array_equal(got[1], upper, err_msg=f"upper, stride {S}")
+        assert_array_equal(got[0], lower, err_msg=f"lower, ladder {ladder}")
+        assert_array_equal(got[1], upper, err_msg=f"upper, ladder {ladder}")
     s = DenseStructure(F1, F0, grid)
     i1r, i1l, i0r, i0l = reference_structure(F1, F0, grid)
     tail = np.zeros((len(grid), 1), dtype=np.intp)
@@ -189,7 +209,7 @@ lattice_sample = st.lists(st.integers(-12, 12), min_size=1, max_size=12).map(
 class TestScanOracle:
     """``_scan`` against direct evaluation of D_x, bit for bit and before
     clipping, on tie-heavy samples where shifted control jumps collide with
-    treated jumps and with each other, at several block strides."""
+    treated jumps and with each other, at several stride ladders."""
 
     # `strides` sets a module constant each example sets again in full
     @given(lattice_sample, lattice_sample, st.sampled_from([0.1, 0.05, 0.3]))
@@ -199,18 +219,18 @@ class TestScanOracle:
         F1, F0 = ecdf_build(X1), ecdf_build(X0)
         grid = default_grid(X0, (X1,), step)
         expect = [brute_extremes(F1, X0, x) for x in grid.points]
-        for S in strides():
+        for ladder in strides():
             lower, upper = makarov._scan(F1, F0, grid)
-            assert list(zip(lower, upper)) == expect, S
+            assert list(zip(lower, upper)) == expect, ladder
 
     def test_ulp_spaced_control(self, strides):
         X0 = Sample(1.0 + np.arange(12) * np.spacing(1.0))
         X1 = Sample(8.0 + np.arange(-4, 8) * np.spacing(8.0))
         grid = Grid(points=7.0 + np.arange(-6, 7) * np.spacing(7.0), step=float(np.spacing(7.0)))
         expect = [brute_extremes(ecdf_build(X1), X0, x) for x in grid.points]
-        for S in strides():
+        for ladder in strides():
             lower, upper = makarov._scan(ecdf_build(X1), ecdf_build(X0), grid)
-            assert list(zip(lower, upper)) == expect, S
+            assert list(zip(lower, upper)) == expect, ladder
 
 
 def tie_heavy_lattice_cases(count):
@@ -261,7 +281,7 @@ def pair_family_cases(draw):
 
 class TestRowKernel:
     """The shared candidate-index kernel against the per-row searchsorted
-    reference, bit for bit: ``_scan`` directly, at several block strides,
+    reference, bit for bit: ``_scan`` directly, at several stride ladders,
     and ``_index_pairs`` through its two index arrays, both built on
     ``_ranks``; and the cells ``MakarovStructure`` keeps, chunk by chunk,
     against the dense ones."""
@@ -324,13 +344,14 @@ class TestThreadedChunks:
     def test_scan(self, case, rows, monkeypatch, strides):
         F1, F0, grid = case
         lower, upper = makarov._scan(F1, F0, grid)
-        for S in strides():
-            # the coarse keys a row holds depend on the stride
+        for ladder in strides():
+            # slices of `rows` grid rows at level 0, whose keys per row
+            # depend on the ladder
             monkeypatch.setattr(makarov, "_CHUNK", rows * scan_width(F0))
             assert len(list(makarov._chunks(grid, scan_width(F0)))) > 3
             got = makarov._scan(F1, F0, grid)
-            assert_array_equal(got[0], lower, err_msg=f"lower, stride {S}")
-            assert_array_equal(got[1], upper, err_msg=f"upper, stride {S}")
+            assert_array_equal(got[0], lower, err_msg=f"lower, ladder {ladder}")
+            assert_array_equal(got[1], upper, err_msg=f"upper, ladder {ladder}")
 
     @pytest.mark.parametrize("rows", [1, 3, 7])
     @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -354,15 +375,23 @@ class TestThreadedChunks:
             MakarovStructure(F1, F0, grid, a_n=0.15, threads=0)
 
 
+# a random stride ladder: up to three factors of 2 to 8, each stride the
+# product of the factors from it on, ending at 1
+random_ladders = st.lists(st.integers(2, 8), max_size=3).map(
+    lambda fs: tuple(int(np.prod(fs[i:])) for i in range(len(fs))) + (1,))
+
+
 @st.composite
 def pruning_cases(draw):
-    """(stride, F1, F0, grid) with up to 400 distinct control jumps, or a
-    count at a block edge of the stride: a 0.05 lattice (shifted jumps
-    collide), control jumps 1 ulp apart (they tie once shifted), normal
-    samples, and interleaved lattices whose objective is flat, so that most
-    blocks reach the row's max or min."""
-    S = draw(st.integers(2, 8))
-    n0 = draw(st.one_of(st.sampled_from([1, S - 1, S, S + 1, 2 * S]), st.integers(1, 400)))
+    """(ladder, F1, F0, grid) with up to 400 distinct control jumps, or a
+    count at a block edge of the ladder's first stride: a 0.05 lattice
+    (shifted jumps collide), control jumps 1 ulp apart (they tie once
+    shifted), normal samples, and interleaved lattices whose objective is
+    flat, so that most blocks reach the row's max or min.  The ladder is
+    one of LADDERS or a random one."""
+    ladder = draw(st.one_of(st.sampled_from(LADDERS), random_ladders))
+    S = ladder[0]
+    n0 = draw(st.one_of(st.sampled_from([1, S - 1 or 1, S, S + 1, 2 * S]), st.integers(1, 400)))
     n1 = draw(st.integers(1, 400))
     kind = draw(st.sampled_from(["lattice", "ulp", "normal", "flat"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -371,9 +400,9 @@ def pruning_cases(draw):
         X1 = Sample(np.concatenate((8.0 + rng.integers(-n0, 2 * n0, n1) * np.spacing(8.0),
                                     rng.normal(8.0, 1.0, 3))))
         xs = 7.0 + np.arange(-20, 21) * np.spacing(7.0)
-        return S, ecdf_build(X1), ecdf_build(X0), Grid(points=xs, step=float(np.spacing(7.0)))
+        return ladder, ecdf_build(X1), ecdf_build(X0), Grid(points=xs, step=float(np.spacing(7.0)))
     if kind == "lattice":
-        X0 = Sample((rng.choice(401, n0, replace=False) - 200) * 0.05)
+        X0 = Sample((rng.choice(max(401, n0), n0, replace=False) - 200) * 0.05)
         X1 = Sample(rng.integers(-200, 201, n1) * 0.05)
     elif kind == "normal":
         X0, X1 = Sample(rng.normal(0.3, 1.2, n0)), Sample(rng.normal(0.0, 1.0, n1))
@@ -381,7 +410,7 @@ def pruning_cases(draw):
         X0, X1 = Sample((np.arange(n0) + 0.5) / n1), Sample(np.arange(n1) / n1)
     lo, hi = X1.min - X0.max, X1.max - X0.min
     step = 0.1 if kind == "lattice" else (hi - lo) / 40 or None
-    return S, ecdf_build(X1), ecdf_build(X0), default_grid(X0, (X1,), step)
+    return ladder, ecdf_build(X1), ecdf_build(X0), default_grid(X0, (X1,), step)
 
 
 def normal_pair(n, seed):
@@ -391,61 +420,59 @@ def normal_pair(n, seed):
 
 
 def interleaved_lattices(n):
-    """Treated k/n and control (k + 1/2)/n: the objective is flat, so the
-    fine pass of the scan ranks nearly every block."""
+    """Treated k/n and control (k + 1/2)/n: the objective is flat where the
+    shifted control overlaps the treated, so the scan keeps nearly every
+    block there."""
     X1, X0 = Sample(np.arange(n) / n), Sample((np.arange(n) + 0.5) / n)
     return ecdf_build(X1), ecdf_build(X0), default_grid(X0, (X1,))
 
 
 class TestPrunedScan:
-    """The two-pass scan on samples of many blocks, against the per-row
-    reference; and the share of candidates it ranks and the memory it
-    holds at large n."""
+    """The level-by-level scan on samples of many blocks, against the
+    per-row reference; and the keys it ranks and the memory it holds at
+    large n."""
 
     @given(pruning_cases())
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_matches_reference(self, monkeypatch, case):
-        S, F1, F0, grid = case
-        monkeypatch.setattr(makarov, "_STRIDE", S)
+        ladder, F1, F0, grid = case
+        monkeypatch.setattr(makarov, "_STRIDES", ladder)
         lower, upper = makarov._scan(F1, F0, grid)
         assert_array_equal(lower, reference_scan(F1, F0, grid, lambda a, b: a - b, np.max))
         assert_array_equal(upper, reference_scan(F1, F0, grid, lambda a, b: (1.0 - b) + a, np.min))
 
-    def test_ranks_a_tenth_of_the_candidates(self, monkeypatch):
+    def test_ranks_under_three_percent_of_the_candidates(self, monkeypatch):
+        # the two-pass scan (one key per 64 jumps, then every kept block)
+        # ranked 549,166 keys here, 5.3 %
         F1, F0, grid = normal_pair(20_000, seed=3)
-        ranked = []
-
-        def counted(j1, rows):
-            ranked.append(rows.size)
-            return ranks(j1, rows)
-
-        ranks = makarov._ranks
-        monkeypatch.setattr(makarov, "_ranks", counted)
+        ranked = ranked_keys(monkeypatch)
         makarov._scan(F1, F0, grid)
-        assert sum(ranked) < 0.1 * len(grid) * F0.jump_points.size
+        assert sum(ranked) < 0.03 * len(grid) * F0.jump_points.size
+
+    @pytest.mark.parametrize("n, two_pass", [(120, 50_761), (10_000, 2_669_786)])
+    def test_flat_rows_rank_no_more_than_the_two_pass_scan(self, monkeypatch, n, two_pass):
+        # most blocks are kept on a flat row, where each level of the ladder
+        # would rank keys the next one ranks again; the two-pass scan ranked
+        # `two_pass` keys here
+        F1, F0, grid = interleaved_lattices(n)
+        ranked = ranked_keys(monkeypatch)
+        makarov._scan(F1, F0, grid)
+        assert sum(ranked) <= 1.1 * two_pass
 
     def test_fine_pass_in_slices(self, monkeypatch):
-        # one coarse chunk of every grid row; a fine slice ranks as many
-        # cells as the chunk holds, an eighth of the blocks at stride 8, and
-        # the flat objective makes nearly every block reach the fine pass
+        # level 0 ranks every grid row in one slice; the kept blocks of
+        # stride 8, nearly all on this flat objective, are ranked at
+        # stride 1 in slices of at most as many keys
         F1, F0, grid = interleaved_lattices(120)
-        monkeypatch.setattr(makarov, "_STRIDE", 8)
+        monkeypatch.setattr(makarov, "_STRIDES", (8, 1))
         lower = reference_scan(F1, F0, grid, lambda a, b: a - b, np.max)
         upper = reference_scan(F1, F0, grid, lambda a, b: (1.0 - b) + a, np.min)
-        ranked = []
-
-        def counted(j1, rows):
-            ranked.append(rows.size)
-            return ranks(j1, rows)
-
-        ranks = makarov._ranks
-        monkeypatch.setattr(makarov, "_ranks", counted)
+        ranked = ranked_keys(monkeypatch)
         monkeypatch.setattr(makarov, "_CHUNK", len(grid) * scan_width(F0))
         got = makarov._scan(F1, F0, grid)
-        chunks = len(list(makarov._chunks(grid, scan_width(F0))))
         slices = ranked[1:]
-        assert chunks == 1 and len(slices) > 3
+        assert ranked[0] == makarov._CHUNK and len(slices) > 3
         assert max(slices) <= makarov._CHUNK
         assert_array_equal(got[0], lower)
         assert_array_equal(got[1], upper)
