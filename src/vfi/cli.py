@@ -18,19 +18,11 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .bootstrap import SCHEMES, BootstrapConfig
 from .derivative import Tuning
 from .empirical import CsvParseError, ecdf_build, load_sample_csv
-from .inference import Band, cdf_band, dominance_test, uniform_band
-from .makarov import (
-    ArgmaxBudgetError,
-    GridBudgetError,
-    bounds_to_csv,
-    compute_bounds,
-    quantile_bounds,
-)
+from .inference import cdf_band, dominance_test, uniform_band
+from .makarov import ArgmaxBudgetError, GridBudgetError, compute_bounds, quantile_bounds
 from .simulate import ExperimentConfig, run_normal_location, run_uniform_dominance
 
 SCHEMA_VERSION = 1
@@ -100,20 +92,28 @@ def _levels(text: str) -> tuple[float, ...]:
     return taus
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _write(text: str, path: str | None):
+def _write(path: str | None, columns: dict | None = None, body: dict | None = None):
+    """The one output writer: every command's result and replicate dump is
+    turned into text here and written to ``path``, or to stdout if it is
+    None.  ``columns`` (name -> values) alone go out as CSV, a header and
+    one line per row, each float in shortest round-trip form and a ``range``
+    (the replicate index) as ints.  ``body`` goes out as indented JSON with
+    sorted keys; with ``columns`` as well, its "band" entry holds one object
+    per row."""
+    if body is None:
+        cells = [map(str, c) if isinstance(c, range) else [repr(float(v)) for v in c]
+                 for c in columns.values()]
+        text = "".join(",".join(line) + "\n" for line in (columns, *zip(*cells)))
+    else:
+        if columns is not None:
+            rows = zip(*(c.tolist() for c in columns.values()))
+            body = {**body, "band": [dict(zip(columns, row)) for row in rows]}
+        text = json.dumps(body, indent=2, sort_keys=True) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
             fh.write(text)
-
-
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 # Options that a VFI_* variable can set, by argparse dest: (variable name
@@ -209,10 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_pair(args):
-    X1 = load_sample_csv(args.treated, column=args.column, label="treated")
-    X0 = load_sample_csv(args.control, column=args.column, label="control")
-    return X1, X0
+def _load(args, *dests: str) -> list:
+    """The sample at the path of each argparse dest in ``dests``, labelled by its dest."""
+    return [load_sample_csv(getattr(args, d), column=args.column, label=d) for d in dests]
 
 
 def _bconfig(args) -> BootstrapConfig:
@@ -220,43 +219,25 @@ def _bconfig(args) -> BootstrapConfig:
                            alpha=args.alpha, threads=args.threads)
 
 
-def _band_rows(band: Band) -> str:
-    lines = ["x,lo,center,hi"]
-    for x, lo, c, hi in zip(band.grid.points, band.lo, band.center, band.hi):
-        lines.append(f"{_fmt(x)},{_fmt(lo)},{_fmt(c)},{_fmt(hi)}")
-    return "\n".join(lines) + "\n"
-
-
-def _band_json(band: Band, extra: dict) -> str:
-    body = {
-        "schema_version": SCHEMA_VERSION,
-        "alpha": band.alpha,
-        "c_star": band.c_star,
-        "r_n": band.r_n,
-        "band": [
-            {"x": x, "lo": lo, "center": c, "hi": hi}
-            for x, lo, c, hi in zip(
-                band.grid.points.tolist(), band.lo.tolist(),
-                band.center.tolist(), band.hi.tolist()
-            )
-        ],
-    }
-    body.update(extra)
-    return _json_dumps(body)
-
-
 def _dump_replicates(run, path):
-    if path is None or run is None:
-        return
-    lines = ["replicate,value"]
-    lines += [f"{r},{_fmt(v)}" for r, v in enumerate(run.replicates)]
-    _write("\n".join(lines) + "\n", path)
+    if path is not None:
+        _write(path, {"replicate": range(len(run.replicates)), "value": run.replicates})
+
+
+def _write_band(band, args, which: str):
+    """A band as CSV rows, or as JSON with its level, c* and r_n."""
+    body = None
+    if args.format == "json":
+        body = {"schema_version": SCHEMA_VERSION, "alpha": band.alpha, "c_star": band.c_star,
+                "r_n": band.r_n, "which": which, "seed": args.seed}
+    _write(args.output, {"x": band.grid.points, "lo": band.lo, "center": band.center,
+                         "hi": band.hi}, body)
 
 
 def _cmd_bounds(args) -> int:
-    X1, X0 = _load_pair(args)
-    pair = compute_bounds(X1, X0, step=args.grid_step)
-    _write(bounds_to_csv(pair), args.output)
+    pair = compute_bounds(*_load(args, "treated", "control"), step=args.grid_step)
+    _write(args.output, {"x": pair.grid.points, "lower": pair.lower.values,
+                         "upper": pair.upper.values})
     return 0
 
 
@@ -265,37 +246,29 @@ def _tuning(args, n: int) -> Tuning:
 
 
 def _cmd_band(args) -> int:
-    X1, X0 = _load_pair(args)
+    X1, X0 = _load(args, "treated", "control")
     band = uniform_band(args.which, X1, X0, config=_bconfig(args), step=args.grid_step,
                         tuning=_tuning(args, len(X1) + len(X0)))
     _dump_replicates(band.run, args.dump_replicates)
-    if args.format == "csv":
-        _write(_band_rows(band), args.output)
-    else:
-        _write(_band_json(band, {"which": args.which, "seed": args.seed}), args.output)
+    _write_band(band, args, args.which)
     return 0
 
 
 def _cmd_cdf_band(args) -> int:
-    X1, X0 = _load_pair(args)
+    X1, X0 = _load(args, "treated", "control")
     combined = cdf_band(X1, X0, config=_bconfig(args), step=args.grid_step,
                         tuning=_tuning(args, len(X1) + len(X0)))
-    if args.format == "csv":
-        _write(_band_rows(combined), args.output)
-    else:
-        _write(_band_json(combined, {"which": "cdf", "seed": args.seed}), args.output)
+    _write_band(combined, args, "cdf")
     return 0
 
 
 def _cmd_dominance(args) -> int:
-    X0 = load_sample_csv(args.control, column=args.column, label="control")
-    XA = load_sample_csv(args.treatment_a, column=args.column, label="A")
-    XB = load_sample_csv(args.treatment_b, column=args.column, label="B")
+    X0, XA, XB = _load(args, "control", "treatment_a", "treatment_b")
     res = dominance_test(X0, XA, XB, config=_bconfig(args),
                          step=args.grid_step, orientation=args.orientation,
                          tuning=_tuning(args, len(X0) + len(XA) + len(XB)))
     _dump_replicates(res.run, args.dump_replicates)
-    body = {
+    _write(args.output, body={
         "schema_version": SCHEMA_VERSION,
         "statistic": res.statistic,
         "critical_value": res.critical_value,
@@ -304,18 +277,14 @@ def _cmd_dominance(args) -> int:
         "orientation": args.orientation,
         "replicates": {"count": res.rep_count, "mean": res.rep_mean, "max": res.rep_max},
         "seed": args.seed,
-    }
-    _write(_json_dumps(body), args.output)
+    })
     return 0
 
 
 def _cmd_quantile_bounds(args) -> int:
-    X1, X0 = _load_pair(args)
-    taus = np.array(args.taus)
-    lo, hi = quantile_bounds(ecdf_build(X1), ecdf_build(X0), taus)
-    lines = ["tau,lower,upper"]
-    lines += [f"{_fmt(t)},{_fmt(a)},{_fmt(b)}" for t, a, b in zip(taus, lo, hi)]
-    _write("\n".join(lines) + "\n", args.output)
+    F1, F0 = map(ecdf_build, _load(args, "treated", "control"))
+    lo, hi = quantile_bounds(F1, F0, args.taus)
+    _write(args.output, {"tau": args.taus, "lower": lo, "upper": hi})
     return 0
 
 
@@ -324,12 +293,8 @@ def _cmd_simulate(args) -> int:
                               grid_step=args.grid_step, bootstrap=_bconfig(args))
     run = run_normal_location if args.experiment == "normal" else run_uniform_dominance
     curve = run(config)
-    lines = ["delta,reject_rate,se"]
-    lines += [
-        f"{_fmt(d)},{_fmt(p)},{_fmt(s)}"
-        for d, p, s in zip(curve.deltas, curve.reject_rate, curve.se)
-    ]
-    _write("\n".join(lines) + "\n", args.output)
+    _write(args.output, {"delta": curve.deltas, "reject_rate": curve.reject_rate,
+                         "se": curve.se})
     return 0
 
 
@@ -358,7 +323,7 @@ def run_cli(argv=None) -> int:
     except (GridBudgetError, ArgmaxBudgetError) as exc:  # a flag value past a limit
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CsvParseError, ValueError) as exc:
+    except (CsvParseError, ValueError, OSError) as exc:  # OSError: a path open() refuses
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,6 @@ among the treated points from one rank primitive, ``_ranks``."""
 
 from __future__ import annotations
 
-import io
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
@@ -33,7 +32,6 @@ __all__ = [
     "support_bounds",
     "default_grid",
     "compute_bounds",
-    "bounds_to_csv",
 ]
 
 DEFAULT_GRID_POINTS = 512
@@ -497,11 +495,3 @@ def compute_bounds(X1: Sample, X0: Sample, grid: Grid | None = None,
                     for v in _scan(F1, F0, grid))
     return BoundPair(lower=lower, upper=upper, grid=grid)
 
-
-def bounds_to_csv(pair: BoundPair) -> str:
-    """CSV rows (x, lower, upper) with shortest round-trip float formatting."""
-    buf = io.StringIO()
-    buf.write("x,lower,upper\n")
-    for x, lo, hi in zip(pair.grid.points, pair.lower.values, pair.upper.values):
-        buf.write(f"{float(x)!r},{float(lo)!r},{float(hi)!r}\n")
-    return buf.getvalue()

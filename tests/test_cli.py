@@ -13,7 +13,6 @@ import pytest
 from vfi import cli, makarov
 from vfi.bootstrap import BootstrapConfig
 from vfi.cli import run_cli
-from vfi.empirical import load_sample_csv
 
 CLI = [sys.executable, "-m", "vfi.cli"]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -68,9 +67,6 @@ class TestBounds:
         # these inputs fit one chunk; the scan also gives them with one
         # grid row per chunk
         monkeypatch.setattr(makarov, "_CHUNK", 1)
-        X1, X0 = (load_sample_csv(GOLDEN / "inputs" / f"{arm}.csv", label=arm)
-                  for arm in ("treated", "control"))
-        assert makarov.bounds_to_csv(makarov.compute_bounds(X1, X0)) == golden
         for k in range(2):
             out = tmp_path / f"bounds_{k}.csv"
             assert run_cli(args + ["--output", str(out)]) == 0
@@ -175,6 +171,15 @@ class TestErrors:
         r = run("bounds", "--treated", "/nonexistent/x.csv", "--control", data["control"])
         assert r.returncode == 1
         assert "/nonexistent/x.csv" in r.stderr
+
+    @pytest.mark.parametrize("flag", ["--treated", "--output", "--dump-replicates"])
+    def test_directory_as_path_exit_1(self, data, tmp_path, flag):
+        # a path that open() refuses ends in one line naming it, not a traceback
+        options = {"--treated": data["treated"], "--control": data["control"],
+                   "--R": "9", "--threads": "1", flag: str(tmp_path)}
+        r = run("band", *(a for option in options.items() for a in option))
+        assert r.returncode == 1 and r.stderr.count("\n") == 1, r.stderr
+        assert "Is a directory" in r.stderr and str(tmp_path) in r.stderr
 
     def test_malformed_csv_exit_1(self, data, tmp_path):
         p = tmp_path / "bad.csv"

@@ -115,8 +115,7 @@ def _versions() -> dict:
             "python": platform.python_version()}
 
 
-def _run(name: str, out: Path) -> None:
-    argv, _ = CASES[name]
+def _run(argv: list[str], out: Path) -> None:
     argv = [a.replace("{in}", str(INPUTS)).replace("{out}", str(out)) for a in argv]
     rc = run_cli(argv)
     assert rc == 0, f"vfi {' '.join(argv)} exited {rc}"
@@ -131,7 +130,7 @@ def no_vfi_env(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_bytes(name, tmp_path, no_vfi_env):
-    _run(name, tmp_path)
+    _run(CASES[name][0], tmp_path)
     recorded = json.loads((GOLDEN / "versions.json").read_text())
     for fname in CASES[name][1]:
         got = (tmp_path / fname).read_bytes()
@@ -142,13 +141,23 @@ def test_golden_bytes(name, tmp_path, no_vfi_env):
         )
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_equals_the_output_file(name, tmp_path, capsys, no_vfi_env):
+    # the same case without its --output; a replicate dump still goes to its path
+    argv = CASES[name][0]
+    k = argv.index("--output")
+    _run(argv[:k] + argv[k + 2:], tmp_path)
+    want = (GOLDEN / argv[k + 1].removeprefix("{out}/")).read_bytes()
+    assert capsys.readouterr().out.encode() == want
+
+
 def regenerate() -> None:
     for key in [k for k in os.environ if k.startswith("VFI_")]:
         del os.environ[key]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         for name in sorted(CASES):
-            _run(name, out)
+            _run(CASES[name][0], out)
             for fname in CASES[name][1]:
                 (GOLDEN / fname).write_bytes((out / fname).read_bytes())
     (GOLDEN / "versions.json").write_text(json.dumps(_versions(), indent=2) + "\n")

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from vfi import makarov
+from vfi import cli, makarov
 from vfi.derivative import Tuning
 from vfi.empirical import Sample, ecdf_build
 from vfi.makarov import (
@@ -16,7 +16,6 @@ from vfi.makarov import (
     ArgmaxBudgetError,
     GridBudgetError,
     MakarovStructure,
-    bounds_to_csv,
     compute_bounds,
     default_grid,
     quantile_bounds,
@@ -782,11 +781,14 @@ class TestQuantileBounds:
 
 
 class TestSerialization:
-    def test_csv_roundtrip_exact(self):
+    def test_csv_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(16)
         X1, X0 = random_pair(rng)
         pair = compute_bounds(X1, X0, step=0.23)
-        header, *rows = bounds_to_csv(pair).splitlines()
+        out = tmp_path / "bounds.csv"
+        cli._write(str(out), {"x": pair.grid.points, "lower": pair.lower.values,
+                              "upper": pair.upper.values})
+        header, *rows = out.read_text().splitlines()
         assert header == "x,lower,upper"
         x, lo, hi = np.array([[float(c) for c in row.split(",")] for row in rows]).T
         assert_array_equal(x, pair.grid.points)
